@@ -237,7 +237,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
                 stats: rt.stats().clone(),
                 total,
                 finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
+                prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),
                 stalled: AtomicBool::new(false),
@@ -259,7 +259,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
 
             run_epoch(&rt, &shared);
 
-            report.vertices_computed += shared.computed.load(Ordering::Relaxed);
+            report.vertices_computed += shared.computed();
             for (slot, shard) in shared.shards.iter().enumerate() {
                 busy_by_place[shared.dist.places()[slot].index()] +=
                     shard.busy_ns.load(Ordering::Relaxed);
@@ -272,12 +272,15 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
                 });
             }
 
-            if shared.done.load(Ordering::Acquire) {
+            // A fault outranks completion: a kill that fires while the
+            // last cells finish still loses the dead place's chunk.
+            let fault = shared.fault.load(Ordering::Acquire);
+            if !fault && shared.done.load(Ordering::Acquire) {
                 break collect_array(&shared.shards, &dist);
             }
 
             // Fault: run the paper's recovery and start a new epoch.
-            debug_assert!(shared.fault.load(Ordering::Acquire));
+            debug_assert!(fault);
             let dead: Vec<PlaceId> = alive
                 .iter()
                 .copied()
@@ -336,8 +339,11 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) liveness: dpx10_apgas::LivenessBoard,
     pub(crate) stats: dpx10_apgas::StatsBoard,
     pub(crate) total: u64,
+    /// Finished vertices, advanced once per worker round by
+    /// [`flush_progress`] (and per publish while a kill is armed).
     pub(crate) finished_global: AtomicU64,
-    pub(crate) computed: AtomicU64,
+    /// Vertices finished before the epoch started (restored or init).
+    pub(crate) prefinished: u64,
     pub(crate) done: AtomicBool,
     pub(crate) fault: AtomicBool,
     pub(crate) stalled: AtomicBool,
@@ -425,6 +431,18 @@ pub(crate) struct FaultTrigger {
 }
 
 impl<A: DpApp> Shared<A> {
+    /// Vertices this epoch computed so far. Derived from the shards'
+    /// own per-publish counters, so it is exact at any moment without a
+    /// shared counter on the hot path.
+    pub(crate) fn computed(&self) -> u64 {
+        let finished: u64 = self
+            .shards
+            .iter()
+            .map(|s| s.finished_local.load(Ordering::Relaxed))
+            .sum();
+        finished - self.prefinished
+    }
+
     #[inline]
     pub(crate) fn should_stop(&self) -> bool {
         self.done.load(Ordering::Acquire) || self.fault.load(Ordering::Acquire)
@@ -527,6 +545,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
                 .recv_timeout(me, Duration::from_micros(500))
             {
                 handle_msg(&shared, slot, wid, env, &mut bufs);
+                flush_progress(&shared, &mut bufs);
                 idle_rounds = 0;
             }
         }
@@ -537,6 +556,11 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
 /// inbound messages, execute up to a budget of ready vertices, and (when
 /// configured) steal once from the most loaded shard. Returns whether
 /// anything at all got done, so the caller can decide how to idle.
+///
+/// The round's publishes reach the shared progress counter in one
+/// flush at its end, and its ready batch is timed once for `busy_ns`:
+/// a per-cell atomic on a cache line shared by every place and two
+/// clock reads per cell would otherwise dominate a trivial kernel.
 ///
 /// Extracted from [`worker_loop`] so it can also drive the multi-job
 /// pool in [`crate::jobs`], where one thread services many jobs and must
@@ -559,6 +583,8 @@ pub(crate) fn worker_rounds<A: DpApp>(
         None => (128, 32),
     };
     let mut progress = false;
+    // Started at the first pop: an idle round reads no clock.
+    let mut batch_start: Option<Instant> = None;
     for _ in 0..drain_budget {
         match shared.transport.try_recv(me) {
             Some(env) => {
@@ -579,6 +605,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
                 for _ in 0..1 + rng.below(3) {
                     match shared.shards[slot].ready.pop() {
                         Some(li) => {
+                            batch_start.get_or_insert_with(Instant::now);
                             shared.recorder.instant_now(
                                 me.0,
                                 wid,
@@ -606,6 +633,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
             for _ in 0..ready_budget {
                 match shared.shards[slot].ready.pop() {
                     Some(li) => {
+                        batch_start.get_or_insert_with(Instant::now);
                         shared
                             .recorder
                             .instant_now(me.0, wid, EventKind::ReadyPop, u64::from(li));
@@ -617,18 +645,56 @@ pub(crate) fn worker_rounds<A: DpApp>(
             }
         }
     }
+    if let Some(t0) = batch_start {
+        charge_busy(&shared.shards[slot], t0);
+    }
     if !progress && shared.schedule == ScheduleStrategy::WorkStealing {
         progress = try_steal(shared, slot, wid, bufs);
     }
+    flush_progress(shared, bufs);
     progress
 }
 
+/// Adds the time since `t0` to `shard`'s busy counter.
+#[inline]
+fn charge_busy<V>(shard: &Shard<V>, t0: Instant) {
+    shard
+        .busy_ns
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+/// Moves this worker's unflushed publishes into the shared progress
+/// counter, then sets `done` once every vertex is finished and fires
+/// any progress-triggered kill whose threshold the count has reached.
+///
+/// Called at the end of every [`worker_rounds`] and after every
+/// idle-path message, so nothing stays buffered across rounds (nor
+/// across jobs, whose pool threads share one `WorkerBufs`).
+pub(crate) fn flush_progress<A: DpApp>(shared: &Shared<A>, bufs: &mut WorkerBufs) {
+    let n = std::mem::take(&mut bufs.published);
+    if n == 0 {
+        return;
+    }
+    let g = shared.finished_global.fetch_add(n, Ordering::AcqRel) + n;
+    if g >= shared.total {
+        shared.done.store(true, Ordering::Release);
+    }
+    for trig in &shared.fault_plan {
+        if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
+            shared.liveness.kill(trig.victim);
+            shared.fault.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Reusable per-worker scratch buffers (hot path: no fresh allocations
-/// per vertex).
+/// per vertex), plus the worker's not-yet-flushed publish count.
 pub(crate) struct WorkerBufs {
     deps: Vec<VertexId>,
     anti: Vec<VertexId>,
     groups: HashMap<u16, Vec<VertexId>>,
+    /// Publishes since the last [`flush_progress`].
+    published: u64,
 }
 
 impl Default for WorkerBufs {
@@ -637,6 +703,7 @@ impl Default for WorkerBufs {
             deps: Vec::with_capacity(8),
             anti: Vec::with_capacity(8),
             groups: HashMap::new(),
+            published: 0,
         }
     }
 }
@@ -667,7 +734,9 @@ fn try_steal<A: DpApp>(
     shared.stats.place(owner).on_send(16, over);
     let back = shared.net.transfer_time(&shared.topo, thief, owner, 16);
     shared.stats.place(thief).on_send(16, back);
+    let t0 = Instant::now();
     execute(shared, victim, wid, li, bufs);
+    charge_busy(&shared.shards[victim], t0);
     true
 }
 
@@ -693,8 +762,10 @@ fn handle_msg<A: DpApp>(
             dep_ids,
             dep_values,
         } => {
+            let t0 = Instant::now();
             let view = DepView::new(&dep_ids, &dep_values);
-            let value = compute_timed(shared, slot, wid, id, &view);
+            let value = compute_recorded(shared, slot, wid, id, || shared.app.compute(id, &view));
+            charge_busy(&shared.shards[slot], t0);
             shared.send(me, env.src, Msg::ExecResult { id, value });
         }
         Msg::ExecResult { id, value } => {
@@ -804,6 +875,7 @@ fn handle_push<A: DpApp>(
                 }
             }
         }
+        shard.sync_parked(&pending);
     }
     for t in targets {
         decrement(shared, slot, t);
@@ -880,45 +952,33 @@ fn decrement<A: DpApp>(shared: &Shared<A>, slot: usize, t: VertexId) {
     }
 }
 
-/// Runs the app's `compute`, charging the elapsed wall time to the
-/// slot's busy counter and (when recording) emitting the vertex-compute
-/// span.
-fn compute_timed<A: DpApp>(
+/// Runs `compute` and, when recording, emits its vertex-compute span.
+/// Busy time is charged by the caller per ready batch, not here.
+#[inline]
+fn compute_recorded<A: DpApp>(
     shared: &Shared<A>,
     slot: usize,
     wid: u16,
     id: VertexId,
-    view: &DepView<'_, A::Value>,
+    compute: impl FnOnce() -> A::Value,
 ) -> A::Value {
-    let started = Instant::now();
-    let rec_start = self_rec_start(shared);
-    let value = shared.app.compute(id, view);
-    let elapsed = started.elapsed().as_nanos() as u64;
-    shared.shards[slot]
-        .busy_ns
-        .fetch_add(elapsed, Ordering::Relaxed);
-    if let Some(start_ns) = rec_start {
-        // End on the recorder clock, not `start_ns + elapsed`: the two
-        // clocks are read at slightly different moments, and an
-        // extrapolated end can overshoot past the next span's start on
-        // the same worker, breaking the nesting oracle.
-        shared.recorder.span(
-            shared.dist.places()[slot].0,
-            wid,
-            EventKind::VertexCompute,
-            start_ns,
-            shared.recorder.now_ns(),
-            id.pack(),
-        );
+    if !shared.recorder.enabled() {
+        return compute();
     }
+    let start_ns = shared.recorder.now_ns();
+    let value = compute();
+    // End on the recorder clock, not an extrapolated `start + elapsed`
+    // from a second clock: that can overshoot past the next span's start
+    // on the same worker, breaking the nesting oracle.
+    shared.recorder.span(
+        shared.dist.places()[slot].0,
+        wid,
+        EventKind::VertexCompute,
+        start_ns,
+        shared.recorder.now_ns(),
+        id.pack(),
+    );
     value
-}
-
-/// Recorder start timestamp, taken only when recording is on (keeps the
-/// disabled path at one branch).
-#[inline]
-fn self_rec_start<A: DpApp>(shared: &Shared<A>) -> Option<u64> {
-    shared.recorder.enabled().then(|| shared.recorder.now_ns())
 }
 
 /// Executes one owned ready vertex: gather → (maybe ship) → compute →
@@ -985,7 +1045,7 @@ fn execute<A: DpApp>(
     }
 
     let view = DepView::new(&bufs.deps, &values);
-    let value = compute_timed(shared, slot, wid, id, &view);
+    let value = compute_recorded(shared, slot, wid, id, || shared.app.compute(id, &view));
     publish(shared, slot, li, id, value, bufs);
 }
 
@@ -1043,29 +1103,18 @@ fn execute_ranged<A: DpApp>(
         ivs.iter().all(|iv| table.interval_prefix(*iv).is_some()),
         "lanes incomplete at zero indegree for {id}"
     );
-    let started = Instant::now();
-    let rec_start = self_rec_start(shared.as_ref());
-    let value = {
-        let aggs = AggView::new(table);
+    let aggs = AggView::new(table);
+    let value = compute_recorded(shared, slot, wid, id, || {
         shared.app.compute_ranged(id, &view, &aggs)
-    };
-    let elapsed = started.elapsed().as_nanos() as u64;
-    shard.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
-    if let Some(start_ns) = rec_start {
-        shared.recorder.span(
-            shared.dist.places()[slot].0,
-            wid,
-            EventKind::VertexCompute,
-            start_ns,
-            shared.recorder.now_ns(),
-            id.pack(),
-        );
-    }
+    });
     publish(shared, slot, li, id, value, bufs);
 }
 
 /// Gathers dependency values: local reads, then cache, then previously
 /// pulled fills; parks the vertex and issues pulls for anything missing.
+///
+/// While no vertex of the shard is parked, [`gather_fast`] tries first;
+/// on any miss the full path below runs from scratch.
 fn gather<A: DpApp>(
     shared: &Arc<Shared<A>>,
     slot: usize,
@@ -1076,6 +1125,11 @@ fn gather<A: DpApp>(
     let shard = &shared.shards[slot];
     if deps.is_empty() {
         return Some(Vec::new());
+    }
+    if shard.parked_len.load(Ordering::Acquire) == 0 {
+        if let Some(vals) = gather_fast(shared, slot, wid, deps) {
+            return Some(vals);
+        }
     }
     let me = shared.dist.places()[slot];
 
@@ -1099,7 +1153,9 @@ fn gather<A: DpApp>(
     }
 
     if vals.iter().all(Option::is_some) {
-        shard.pending.lock().parked.remove(&li);
+        let mut pending = shard.pending.lock();
+        pending.parked.remove(&li);
+        shard.sync_parked(&pending);
         return Some(vals.into_iter().map(Option::unwrap).collect());
     }
 
@@ -1126,6 +1182,7 @@ fn gather<A: DpApp>(
     }
     if vals.iter().all(Option::is_some) {
         pending.parked.remove(&li);
+        shard.sync_parked(&pending);
         return Some(vals.into_iter().map(Option::unwrap).collect());
     }
 
@@ -1146,6 +1203,7 @@ fn gather<A: DpApp>(
             }
         }
     }
+    shard.sync_parked(&pending);
     let mut to_pull: Vec<VertexId> = Vec::new();
     for d in newly_missing {
         let waiters = pending.waiters.entry(d.pack()).or_default();
@@ -1175,9 +1233,57 @@ fn gather<A: DpApp>(
     None
 }
 
+/// The lock-free gather: local values are read without any lock, the
+/// cache lock is taken only when some dependency is remote, and the
+/// `pending` lock never. Valid only while the shard has no parked vertex
+/// (so this one holds no fills and has nothing to unpark).
+///
+/// Returns `None` on the first cache miss, having recorded nothing: the
+/// caller's full path then counts hits, misses and pulls exactly once.
+#[inline]
+fn gather_fast<A: DpApp>(
+    shared: &Shared<A>,
+    slot: usize,
+    wid: u16,
+    deps: &[VertexId],
+) -> Option<Vec<A::Value>> {
+    let shard = &shared.shards[slot];
+    let mut vals = Vec::with_capacity(deps.len());
+    let mut cache = None;
+    let mut hits = 0;
+    for d in deps {
+        if shared.dist.slot_of(d.i, d.j) == slot {
+            vals.push(shard.value(local_index(&shared.dist, *d)).clone());
+        } else {
+            let cache = cache.get_or_insert_with(|| shard.cache.lock());
+            vals.push(cache.get(d.pack())?.clone());
+            hits += 1;
+        }
+    }
+    drop(cache);
+    if hits > 0 {
+        let me = shared.dist.places()[slot];
+        for _ in 0..hits {
+            shared.stats.place(me).on_cache_hit();
+        }
+        if shared.recorder.enabled() {
+            for d in deps
+                .iter()
+                .filter(|d| shared.dist.slot_of(d.i, d.j) != slot)
+            {
+                shared
+                    .recorder
+                    .instant_now(me.0, wid, EventKind::CacheHit, d.pack());
+            }
+        }
+    }
+    Some(vals)
+}
+
 /// Publishes a computed value: store, flag, decrement anti-dependencies
-/// (locally or by message), advance the finished counter, trigger
-/// termination and any planned fault.
+/// (locally or by message), and count the publish towards the worker's
+/// next [`flush_progress`], which advances the finished counter and
+/// triggers termination and any planned fault.
 fn publish<A: DpApp>(
     shared: &Arc<Shared<A>>,
     slot: usize,
@@ -1194,7 +1300,6 @@ fn publish<A: DpApp>(
     // Fold the local cell before any dependent can become ready.
     agg_record(shared, slot, id, &value);
     shard.finished_local.fetch_add(1, Ordering::Relaxed);
-    shared.computed.fetch_add(1, Ordering::Relaxed);
     if let Some(ckpt) = &shared.checkpoint {
         ckpt.on_publish(shared.dist.places()[slot], id, &value);
     }
@@ -1236,14 +1341,14 @@ fn publish<A: DpApp>(
         shared.send(me, PlaceId(q), msg);
     }
 
-    let g = shared.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
-    if g >= shared.total {
-        shared.done.store(true, Ordering::Release);
-    }
-    for trig in &shared.fault_plan {
-        if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
-            shared.liveness.kill(trig.victim);
-            shared.fault.store(true, Ordering::Release);
-        }
+    bufs.published += 1;
+    // An armed kill must fire at exactly its finished count, so while
+    // one is pending every publish flushes on its own.
+    if shared
+        .fault_plan
+        .iter()
+        .any(|t| !t.fired.load(Ordering::Relaxed))
+    {
+        flush_progress(shared, bufs);
     }
 }

@@ -684,7 +684,7 @@ impl<A: DpApp> JobPool<A> {
         let mut sum = self.published_base.load(Ordering::Relaxed);
         for slot in &self.slots {
             if let Some((shared, _)) = &*slot.work.lock() {
-                sum += shared.computed.load(Ordering::Relaxed);
+                sum += shared.computed();
             }
         }
         sum
@@ -932,7 +932,7 @@ impl<A: DpApp + 'static> JobRunner<A> {
                 stats: self.node.stats().clone(),
                 total,
                 finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
+                prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),
                 stalled: AtomicBool::new(false),
@@ -956,7 +956,7 @@ impl<A: DpApp + 'static> JobRunner<A> {
             };
             shared.done.store(true, Ordering::Release); // belt and braces
             self.pool.detach(self.job_id);
-            let computed = shared.computed.load(Ordering::Relaxed);
+            let computed = shared.computed();
             report.vertices_computed += computed;
             self.pool
                 .published_base
@@ -1240,7 +1240,7 @@ impl<A: DpApp + 'static> JobRunner<A> {
                 Wire::Snapshot {
                     epoch,
                     cells,
-                    computed: shared.computed.load(Ordering::Relaxed),
+                    computed: shared.computed(),
                     stats: Vec::new(),
                 },
             )

@@ -831,7 +831,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 stats: self.node.stats().clone(),
                 total,
                 finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
+                prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),
                 stalled: AtomicBool::new(false),
@@ -880,7 +880,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             for h in handles {
                 let _ = h.join();
             }
-            report.vertices_computed += shared.computed.load(Ordering::Relaxed);
+            report.vertices_computed += shared.computed();
             busy_total += shared.shards[my_slot].busy_ns.load(Ordering::Relaxed);
 
             match outcome? {
@@ -1468,7 +1468,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 &Wire::Snapshot {
                     epoch,
                     cells,
-                    computed: shared.computed.load(Ordering::Relaxed),
+                    computed: shared.computed(),
                     stats,
                 },
             )

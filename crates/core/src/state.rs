@@ -1,7 +1,7 @@
 //! Per-place runtime state of the threaded engine.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dpx10_sync::Mutex;
@@ -88,13 +88,18 @@ pub struct Shard<V> {
     pub cache: Mutex<FifoCache<V>>,
     /// Parked vertices and outstanding pulls.
     pub pending: Mutex<Pending<V>>,
+    /// Mirror of `pending.parked.len()`, stored under the `pending` lock
+    /// after every change (see [`Shard::sync_parked`]). While it reads 0
+    /// no vertex holds fills, so a gather may skip the `pending` lock.
+    pub parked_len: AtomicUsize,
     /// Local finished counter ("a finished vertices counter is used to
     /// determine the termination of the worker").
     pub finished_local: AtomicU64,
     /// Number of DAG vertices owned by this shard.
     pub total_local: u64,
-    /// Nanoseconds this shard's workers spent inside `compute` (summed
-    /// across threads); feeds `RunReport::place_busy` on the real
+    /// Nanoseconds this shard's workers spent executing vertices —
+    /// gather, compute and publish, timed per ready batch and summed
+    /// across threads; feeds `RunReport::place_busy` on the real
     /// backends.
     pub busy_ns: AtomicU64,
     /// Prefix-aggregation lanes for interval dependencies (`Some` only
@@ -110,6 +115,14 @@ impl<V: VertexValue> Shard<V> {
         self.values[li as usize]
             .get()
             .expect("value read before publication")
+    }
+
+    /// Refreshes [`Shard::parked_len`]; call with the `pending` lock held
+    /// after changing `pending.parked`.
+    #[inline]
+    pub fn sync_parked(&self, pending: &Pending<V>) {
+        self.parked_len
+            .store(pending.parked.len(), Ordering::Release);
     }
 }
 
@@ -176,6 +189,7 @@ pub fn build_shards<V: VertexValue>(
                 ready: SegQueue::new(),
                 cache: Mutex::new(FifoCache::new(cache_capacity)),
                 pending: Mutex::new(Pending::default()),
+                parked_len: AtomicUsize::new(0),
                 finished_local: AtomicU64::new(0),
                 total_local: 0,
                 busy_ns: AtomicU64::new(0),

@@ -44,10 +44,11 @@ pub struct RunReport {
     pub recovery_time: Duration,
     /// Number of epochs (1 + number of faults survived).
     pub epochs: u32,
-    /// Per-place busy time (worker-seconds of compute), populated by
-    /// every backend — virtual time on the simulator, measured wall
-    /// time on the threaded and socket engines; indexed by the final
-    /// epoch's slot order.
+    /// Per-place busy time, populated by every backend and indexed by
+    /// the final epoch's slot order. On the simulator it is virtual
+    /// compute time. On the threaded and socket engines it is measured
+    /// wall time spent *executing vertices* — gather, compute and
+    /// publish — timed once per ready batch rather than per cell.
     pub place_busy: Vec<Duration>,
     /// Set when the engine replaced the configured scheduling strategy
     /// with another one it can actually run (see [`ScheduleDowngrade`]);

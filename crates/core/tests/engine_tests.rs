@@ -444,3 +444,89 @@ fn concurrent_pulls_of_one_vertex_fold_into_a_single_request() {
         "only {deduped} of {w} waiters were folded into the hub"
     );
 }
+
+#[test]
+fn kill_armed_for_the_last_round_still_recovers() {
+    // Publishes reach the shared progress counter once per worker
+    // round, but an armed kill must still fire at its exact finished
+    // count. Here the threshold is 143 of 144 cells: the 143rd and the
+    // final cell are finished by the same worker, in the same round, so
+    // a batched count would reach the threshold and the total together
+    // and `done` would hide the dead place.
+    let pattern = Grid3::new(12, 12);
+    let expect = oracle(&pattern, &MixApp);
+    let config = EngineConfig::flat(4).with_fault(FaultPlan {
+        place: PlaceId(1),
+        after_fraction: 143.0 / 144.0,
+    });
+    let result = ThreadedEngine::new(MixApp, pattern, config)
+        .run()
+        .expect("survives the fault");
+    assert_eq!(result.report().recoveries.len(), 1);
+    for (id, v) in &expect {
+        assert_eq!(result.try_get(id.i, id.j).as_ref(), Some(v), "{id}");
+    }
+}
+
+/// The LCS recurrence over two byte strings (the `dpx10-apps` kernel,
+/// restated so this crate's tests need no app crate).
+struct Lcs {
+    a: Vec<u8>,
+    b: Vec<u8>,
+}
+
+impl DpApp for Lcs {
+    type Value = u32;
+    fn compute(&self, id: VertexId, deps: &DepView<'_, u32>) -> u32 {
+        let (i, j) = (id.i, id.j);
+        if i == 0 || j == 0 {
+            0
+        } else if self.a[i as usize - 1] == self.b[j as usize - 1] {
+            deps.get(i - 1, j - 1).unwrap() + 1
+        } else {
+            *deps.get(i - 1, j).unwrap().max(deps.get(i, j - 1).unwrap())
+        }
+    }
+}
+
+#[test]
+fn batched_progress_counters_lose_nothing() {
+    // Two places by column: exactly the left and diagonal edges into
+    // place 1's first column cross places (h + (h - 1) of them), each a
+    // cache hit once the `Done` lands, and the cache never evicts.
+    let (h, w) = (150u32, 120u32);
+    let seq = |n: u32, k: u32| -> Vec<u8> {
+        (0..n)
+            .map(|x| b"ACGT"[((x * k) % 7 % 4) as usize])
+            .collect()
+    };
+    let app = Lcs {
+        a: seq(h - 1, 3),
+        b: seq(w - 1, 5),
+    };
+    let mut table = vec![vec![0u32; w as usize]; h as usize];
+    for i in 1..h as usize {
+        for j in 1..w as usize {
+            table[i][j] = if app.a[i - 1] == app.b[j - 1] {
+                table[i - 1][j - 1] + 1
+            } else {
+                table[i - 1][j].max(table[i][j - 1])
+            };
+        }
+    }
+    let config = EngineConfig::flat(2)
+        .with_dist(DistKind::BlockCol)
+        .with_cache(4096);
+    let result = ThreadedEngine::new(app, Grid3::new(h, w), config)
+        .run()
+        .expect("engine completes");
+    assert_eq!(
+        result.get(h - 1, w - 1),
+        table[h as usize - 1][w as usize - 1]
+    );
+    let report = result.report();
+    assert_eq!(report.comm.cache_hits, u64::from(2 * h - 1));
+    assert_eq!(report.comm.pulls_sent, 0);
+    assert_eq!(report.vertices_computed, u64::from(h * w));
+    assert_eq!(report.vertices_computed, report.vertices_total);
+}

@@ -1,5 +1,6 @@
 //! Distributions: how a region's points map onto places.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dpx10_apgas::PlaceId;
@@ -55,11 +56,35 @@ impl std::fmt::Debug for DistKind {
 /// slots (not raw place ids) lets recovery re-target the same scheme onto
 /// the surviving places (paper §VI-D: "create a new distributed array
 /// among the remaining places").
+///
+/// The built-in kinds partition one axis (rows or columns) into *lines*.
+/// [`Dist::new`] tabulates each line's owner and rank once, so the hot
+/// lookups [`Dist::slot_of`] and [`Dist::local_index`] are a table load
+/// plus a multiply-add instead of several integer divisions. The table
+/// is O(height + width), never O(cells).
 #[derive(Clone, Debug)]
 pub struct Dist {
     region: Region2D,
     kind: DistKind,
     places: Arc<[PlaceId]>,
+    /// Whether the partitioned axis is the column axis.
+    by_col: bool,
+    /// Line -> its owner and rank (empty for [`DistKind::Custom`]).
+    lines: Box<[Line]>,
+    /// Slot -> number of lines it owns (all 0 for [`DistKind::Custom`]).
+    slot_lines: Box<[u32]>,
+}
+
+/// One line of the partitioned axis.
+#[derive(Clone, Copy, Debug)]
+struct Line {
+    /// Owning slot.
+    slot: u32,
+    /// Rank of the line among its slot's lines.
+    rank: u32,
+    /// Local-index stride: the region width for row lines, the owning
+    /// slot's line count for column lines.
+    stride: u32,
 }
 
 impl Dist {
@@ -72,10 +97,50 @@ impl Dist {
         if let DistKind::BlockCyclicRow { block } | DistKind::BlockCyclicCol { block } = kind {
             assert!(block > 0, "block size must be positive");
         }
+        let n = places.len() as u32;
+        let by_col = matches!(
+            kind,
+            DistKind::BlockCol | DistKind::CyclicCol | DistKind::BlockCyclicCol { .. }
+        );
+        let len = match kind {
+            DistKind::Custom(_) => 0,
+            _ if by_col => region.width,
+            _ => region.height,
+        };
+        let mut slot_lines = vec![0u32; places.len()];
+        let mut lines: Vec<Line> = (0..len)
+            .map(|x| {
+                let slot = match kind {
+                    DistKind::BlockRow | DistKind::BlockCol => Self::block_of(len, n, x),
+                    DistKind::CyclicRow | DistKind::CyclicCol => x % n,
+                    DistKind::BlockCyclicRow { block } | DistKind::BlockCyclicCol { block } => {
+                        (x / block) % n
+                    }
+                    DistKind::Custom(_) => unreachable!("custom kinds have no table"),
+                };
+                // Ranks count earlier lines of the same slot, which is
+                // the closed-form rank of every built-in kind.
+                let rank = slot_lines[slot as usize];
+                slot_lines[slot as usize] += 1;
+                Line {
+                    slot,
+                    rank,
+                    stride: region.width,
+                }
+            })
+            .collect();
+        if by_col {
+            for line in &mut lines {
+                line.stride = slot_lines[line.slot as usize];
+            }
+        }
         Dist {
             region,
             kind,
             places: places.into(),
+            by_col,
+            lines: lines.into(),
+            slot_lines: slot_lines.into(),
         }
     }
 
@@ -105,15 +170,6 @@ impl Dist {
         self.places.len()
     }
 
-    /// Start of the `s`-th balanced block when dividing `total` items
-    /// into `n` blocks (first `total % n` blocks get one extra item).
-    #[inline]
-    fn block_start(total: u32, n: u32, s: u32) -> u32 {
-        let base = total / n;
-        let rem = total % n;
-        s * base + s.min(rem)
-    }
-
     /// The block index owning `x` under balanced blocking.
     #[inline]
     fn block_of(total: u32, n: u32, x: u32) -> u32 {
@@ -135,20 +191,18 @@ impl Dist {
     #[inline]
     pub fn slot_of(&self, i: u32, j: u32) -> usize {
         debug_assert!(self.region.contains(i, j));
-        let n = self.num_slots() as u32;
-        (match &self.kind {
-            DistKind::BlockRow => Self::block_of(self.region.height, n, i),
-            DistKind::BlockCol => Self::block_of(self.region.width, n, j),
-            DistKind::CyclicRow => i % n,
-            DistKind::CyclicCol => j % n,
-            DistKind::BlockCyclicRow { block } => (i / block) % n,
-            DistKind::BlockCyclicCol { block } => (j / block) % n,
-            DistKind::Custom(f) => {
-                let s = f(i, j) as u32;
-                assert!(s < n, "custom distribution returned slot {s} of {n}");
-                s
-            }
-        }) as usize
+        if let DistKind::Custom(f) = &self.kind {
+            let (s, n) = (f(i, j), self.num_slots());
+            assert!(s < n, "custom distribution returned slot {s} of {n}");
+            return s;
+        }
+        self.line(i, j).slot as usize
+    }
+
+    /// The table entry of the line holding `(i, j)` (built-in kinds).
+    #[inline]
+    fn line(&self, i: u32, j: u32) -> Line {
+        self.lines[if self.by_col { j } else { i } as usize]
     }
 
     /// The place owning `(i, j)`.
@@ -159,152 +213,72 @@ impl Dist {
 
     /// Offset of `(i, j)` inside its owner's chunk.
     ///
-    /// Offsets are dense per slot: `0..chunk_len(slot)`. For the block
-    /// kinds this is a closed form; cyclic and custom kinds use a rank
-    /// computation over the owning slot's points.
+    /// Offsets are dense per slot: `0..chunk_len(slot)`, row-major over
+    /// the slot's points. Built-in kinds read the line table; custom
+    /// kinds rank the point among its slot's points.
     #[inline]
     pub fn local_index(&self, i: u32, j: u32) -> usize {
         debug_assert!(self.region.contains(i, j));
-        let n = self.num_slots() as u32;
-        let w = self.region.width as usize;
-        match &self.kind {
-            DistKind::BlockRow => {
-                let s = Self::block_of(self.region.height, n, i);
-                let r0 = Self::block_start(self.region.height, n, s);
-                (i - r0) as usize * w + j as usize
-            }
-            DistKind::BlockCol => {
-                let s = Self::block_of(self.region.width, n, j);
-                let c0 = Self::block_start(self.region.width, n, s);
-                let local_w = Self::block_start(self.region.width, n, s + 1) - c0;
-                i as usize * local_w as usize + (j - c0) as usize
-            }
-            DistKind::CyclicRow => {
-                let local_row = (i / n) as usize;
-                local_row * w + j as usize
-            }
-            DistKind::CyclicCol => {
-                let s = j % n;
-                let local_w = (self.region.width - s).div_ceil(n) as usize;
-                i as usize * local_w + (j / n) as usize
-            }
-            DistKind::BlockCyclicRow { block } => {
-                let local_row = ((i / (block * n)) * block + i % block) as usize;
-                local_row * w + j as usize
-            }
-            DistKind::BlockCyclicCol { block } => {
-                // Rank of column j within the owning slot's column set.
-                let s = (j / block) % n;
-                let full_rounds = j / (block * n);
-                let local_col = (full_rounds * block + j % block) as usize;
-                let local_w = self.local_width_block_cyclic(*block, s) as usize;
-                i as usize * local_w + local_col
-            }
-            DistKind::Custom(f) => {
-                // Rank of (i, j) among same-slot points in row-major order.
-                // O(len) — custom distributions trade speed for flexibility;
-                // engines precompute mappings when they matter.
-                let slot = f(i, j);
-                let mut rank = 0usize;
-                for ii in 0..self.region.height {
-                    for jj in 0..self.region.width {
-                        if ii == i && jj == j {
-                            return rank;
-                        }
-                        if f(ii, jj) == slot {
-                            rank += 1;
-                        }
+        if let DistKind::Custom(f) = &self.kind {
+            // Rank of (i, j) among same-slot points in row-major order.
+            // O(len) — custom distributions trade speed for flexibility;
+            // engines precompute mappings when they matter.
+            let slot = f(i, j);
+            let mut rank = 0usize;
+            for ii in 0..self.region.height {
+                for jj in 0..self.region.width {
+                    if ii == i && jj == j {
+                        return rank;
+                    }
+                    if f(ii, jj) == slot {
+                        rank += 1;
                     }
                 }
-                unreachable!("({i},{j}) inside region");
             }
+            unreachable!("({i},{j}) inside region");
         }
-    }
-
-    /// Columns owned by slot `s` under block-cyclic-by-column.
-    fn local_width_block_cyclic(&self, block: u32, s: u32) -> u32 {
-        let n = self.num_slots() as u32;
-        let w = self.region.width;
-        let per_round = block * n;
-        let full = (w / per_round) * block;
-        let tail = w % per_round;
-        let tail_cols = tail.saturating_sub(s * block).min(block);
-        full + tail_cols
+        let line = self.line(i, j);
+        let (major, minor) = if self.by_col {
+            (i, line.rank)
+        } else {
+            (line.rank, j)
+        };
+        major as usize * line.stride as usize + minor as usize
     }
 
     /// Number of points owned by slot `s`.
     pub fn chunk_len(&self, s: usize) -> usize {
-        let n = self.num_slots() as u32;
-        let s32 = s as u32;
-        let h = self.region.height;
-        let w = self.region.width;
-        match &self.kind {
-            DistKind::BlockRow => {
-                let rows = Self::block_start(h, n, s32 + 1) - Self::block_start(h, n, s32);
-                rows as usize * w as usize
-            }
-            DistKind::BlockCol => {
-                let cols = Self::block_start(w, n, s32 + 1) - Self::block_start(w, n, s32);
-                cols as usize * h as usize
-            }
-            DistKind::CyclicRow => {
-                let rows = (h - s32.min(h)).div_ceil(n);
-                rows as usize * w as usize
-            }
-            DistKind::CyclicCol => {
-                let cols = if s32 < w { (w - s32).div_ceil(n) } else { 0 };
-                cols as usize * h as usize
-            }
-            DistKind::BlockCyclicRow { block } => {
-                let per_round = block * n;
-                let full = (h / per_round) * block;
-                let tail = h % per_round;
-                let rows = full + tail.saturating_sub(s32 * block).min(*block);
-                rows as usize * w as usize
-            }
-            DistKind::BlockCyclicCol { block } => {
-                self.local_width_block_cyclic(*block, s32) as usize * h as usize
-            }
-            DistKind::Custom(f) => {
-                let mut count = 0;
-                for (i, j) in self.region.points() {
-                    if f(i, j) == s {
-                        count += 1;
-                    }
-                }
-                count
-            }
+        if let DistKind::Custom(f) = &self.kind {
+            return self.region.points().filter(|&(i, j)| f(i, j) == s).count();
         }
+        let across = if self.by_col {
+            self.region.height
+        } else {
+            self.region.width
+        };
+        self.slot_lines[s] as usize * across as usize
     }
 
     /// Iterates the global points owned by slot `s`, in local-index order.
     pub fn iter_slot(&self, s: usize) -> Box<dyn Iterator<Item = (u32, u32)> + '_> {
-        // Correctness over speed: filter the whole region and order by
-        // local index. Block kinds get fast paths.
-        let n = self.num_slots() as u32;
-        let s32 = s as u32;
-        match &self.kind {
-            DistKind::BlockRow => {
-                let r0 = Self::block_start(self.region.height, n, s32);
-                let r1 = Self::block_start(self.region.height, n, s32 + 1);
-                let w = self.region.width;
-                Box::new((r0..r1).flat_map(move |i| (0..w).map(move |j| (i, j))))
-            }
-            DistKind::BlockCol => {
-                let c0 = Self::block_start(self.region.width, n, s32);
-                let c1 = Self::block_start(self.region.width, n, s32 + 1);
-                let h = self.region.height;
-                Box::new((0..h).flat_map(move |i| (c0..c1).map(move |j| (i, j))))
-            }
-            _ => {
-                let mut pts: Vec<(u32, u32)> = self
-                    .region
-                    .points()
-                    .filter(|&(i, j)| self.slot_of(i, j) == s)
-                    .collect();
-                pts.sort_by_key(|&(i, j)| self.local_index(i, j));
-                Box::new(pts.into_iter())
-            }
+        if let DistKind::Custom(f) = &self.kind {
+            // Custom local indices are row-major ranks: filter in order.
+            return Box::new(self.region.points().filter(move |&(i, j)| f(i, j) == s));
+        }
+        let owned: Rc<[u32]> = (0..self.lines.len() as u32)
+            .filter(|&x| self.lines[x as usize].slot as usize == s)
+            .collect();
+        let (h, w) = (self.region.height, self.region.width);
+        if self.by_col {
+            Box::new((0..h).flat_map(move |i| {
+                let owned = owned.clone();
+                (0..owned.len()).map(move |k| (i, owned[k]))
+            }))
+        } else {
+            Box::new((0..owned.len()).flat_map(move |k| {
+                let i = owned[k];
+                (0..w).map(move |j| (i, j))
+            }))
         }
     }
 }
@@ -346,6 +320,68 @@ mod tests {
             for (rank, (i, j)) in pts.iter().enumerate() {
                 assert_eq!(d.local_index(*i, *j), rank, "iter_slot order for slot {s}");
                 assert_eq!(d.slot_of(*i, *j), s);
+            }
+        }
+    }
+
+    /// The closed forms the line table replaced: `(slot, local index)`
+    /// of `(i, j)` for the built-in kinds, from integer arithmetic alone.
+    fn closed_form(kind: &DistKind, h: u32, w: u32, n: u32, i: u32, j: u32) -> (u32, usize) {
+        let start = |total: u32, s: u32| s * (total / n) + s.min(total % n);
+        let block = |total: u32, x: u32| (0..n).rfind(|&s| start(total, s) <= x).unwrap();
+        let (w, iu, ju) = (w as usize, i as usize, j as usize);
+        match *kind {
+            DistKind::BlockRow => {
+                let s = block(h, i);
+                (s, (i - start(h, s)) as usize * w + ju)
+            }
+            DistKind::BlockCol => {
+                let s = block(w as u32, j);
+                let c0 = start(w as u32, s);
+                let local_w = (start(w as u32, s + 1) - c0) as usize;
+                (s, iu * local_w + (j - c0) as usize)
+            }
+            DistKind::CyclicRow => (i % n, (i / n) as usize * w + ju),
+            DistKind::CyclicCol => {
+                let local_w = (w as u32 - j % n).div_ceil(n) as usize;
+                (j % n, iu * local_w + (j / n) as usize)
+            }
+            DistKind::BlockCyclicRow { block } => {
+                let row = (i / (block * n)) * block + i % block;
+                ((i / block) % n, row as usize * w + ju)
+            }
+            DistKind::BlockCyclicCol { block } => {
+                let s = (j / block) % n;
+                let col = (j / (block * n)) * block + j % block;
+                let local_w = (0..w as u32).filter(|&c| (c / block) % n == s).count();
+                (s, iu * local_w + col as usize)
+            }
+            DistKind::Custom(_) => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn line_table_matches_the_closed_forms() {
+        // Local indices fix chunk layouts, so the table must reproduce
+        // the former arithmetic exactly, not just some bijection.
+        for &(h, w, p) in &[(7u32, 5u32, 3u16), (5, 11, 2), (2, 3, 5), (9, 9, 4)] {
+            for kind in [
+                DistKind::BlockRow,
+                DistKind::BlockCol,
+                DistKind::CyclicRow,
+                DistKind::CyclicCol,
+                DistKind::BlockCyclicRow { block: 2 },
+                DistKind::BlockCyclicCol { block: 3 },
+            ] {
+                let d = Dist::new(Region2D::new(h, w), kind.clone(), places(p));
+                for (i, j) in d.region().points() {
+                    let (s, li) = closed_form(&kind, h, w, u32::from(p), i, j);
+                    assert_eq!(
+                        (d.slot_of(i, j), d.local_index(i, j)),
+                        (s as usize, li),
+                        "({i},{j}) of {h}x{w} over {p} [{kind:?}]"
+                    );
+                }
             }
         }
     }

@@ -13,10 +13,12 @@
 //! * [`SegQueue`] — an unbounded MPMC queue.
 //!
 //! The implementations favour simplicity and correctness over raw
-//! throughput; every queue is a `VecDeque` behind a `Mutex`. For the
-//! message rates the engines generate this is far from the bottleneck
-//! (the socket backend is bounded by syscalls, the threaded backend by
-//! vertex compute).
+//! throughput; every queue is a `VecDeque` behind a `Mutex`. That is
+//! *not* free: the threaded engine's ready list is a [`SegQueue`], so
+//! every cell pays an uncontended lock and unlock on push and on pop.
+//! With a trivial kernel (LCS) that is a visible share of the engine's
+//! per-cell cost. The socket backend's message rates stay bounded by
+//! syscalls.
 
 #![warn(missing_docs)]
 
