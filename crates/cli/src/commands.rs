@@ -450,7 +450,9 @@ fn build_registry(report: &RunReport, trace: &Trace) -> Registry {
     for (slot, busy) in report.place_busy.iter().enumerate() {
         reg.gauge(
             "dpx10_place_busy_seconds",
-            "per-place compute time, final epoch slot order",
+            "per-place busy time, final epoch slot order: vertex execute \
+             time (gather, compute, publish) on threads and sockets, \
+             virtual compute time on the simulator",
             &[("slot", slot.to_string())],
         )
         .set(busy.as_secs_f64());

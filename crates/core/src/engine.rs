@@ -236,7 +236,6 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
                 liveness: rt.liveness().clone(),
                 stats: rt.stats().clone(),
                 total,
-                finished_global: AtomicU64::new(prefinished),
                 prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),
@@ -267,7 +266,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
 
             if shared.stalled.load(Ordering::Acquire) {
                 return Err(EngineError::Stalled {
-                    finished: shared.finished_global.load(Ordering::Relaxed),
+                    finished: shared.finished(),
                     total,
                 });
             }
@@ -339,10 +338,8 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) liveness: dpx10_apgas::LivenessBoard,
     pub(crate) stats: dpx10_apgas::StatsBoard,
     pub(crate) total: u64,
-    /// Finished vertices, advanced once per worker round by
-    /// [`flush_progress`] (and per publish while a kill is armed).
-    pub(crate) finished_global: AtomicU64,
-    /// Vertices finished before the epoch started (restored or init).
+    /// Vertices finished before the epoch started (restored or init):
+    /// the shards' `finished_local` counters start out summing to it.
     pub(crate) prefinished: u64,
     pub(crate) done: AtomicBool,
     pub(crate) fault: AtomicBool,
@@ -431,16 +428,19 @@ pub(crate) struct FaultTrigger {
 }
 
 impl<A: DpApp> Shared<A> {
-    /// Vertices this epoch computed so far. Derived from the shards'
-    /// own per-publish counters, so it is exact at any moment without a
-    /// shared counter on the hot path.
-    pub(crate) fn computed(&self) -> u64 {
-        let finished: u64 = self
-            .shards
+    /// Finished vertices, prefinished ones included: the sum of the
+    /// shards' own per-publish counters, so the hot path shares no
+    /// progress counter between places.
+    pub(crate) fn finished(&self) -> u64 {
+        self.shards
             .iter()
             .map(|s| s.finished_local.load(Ordering::Relaxed))
-            .sum();
-        finished - self.prefinished
+            .sum()
+    }
+
+    /// Vertices this epoch computed so far.
+    pub(crate) fn computed(&self) -> u64 {
+        self.finished() - self.prefinished
     }
 
     #[inline]
@@ -474,7 +474,7 @@ fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
     // Watchdog: workers park briefly when idle, so they notice the flags
     // quickly; if global progress freezes without done/fault, flag a
     // stall so `run` can fail instead of hanging.
-    let mut last = shared.finished_global.load(Ordering::Relaxed);
+    let mut last = shared.finished();
     let mut last_change = Instant::now();
     while !shared.should_stop() {
         std::thread::sleep(Duration::from_millis(2));
@@ -486,7 +486,7 @@ fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
                 shared.fault.store(true, Ordering::Release);
             }
         }
-        let now = shared.finished_global.load(Ordering::Relaxed);
+        let now = shared.finished();
         if now != last {
             last = now;
             last_change = Instant::now();
@@ -545,7 +545,6 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
                 .recv_timeout(me, Duration::from_micros(500))
             {
                 handle_msg(&shared, slot, wid, env, &mut bufs);
-                flush_progress(&shared, &mut bufs);
                 idle_rounds = 0;
             }
         }
@@ -557,10 +556,10 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
 /// configured) steal once from the most loaded shard. Returns whether
 /// anything at all got done, so the caller can decide how to idle.
 ///
-/// The round's publishes reach the shared progress counter in one
-/// flush at its end, and its ready batch is timed once for `busy_ns`:
-/// a per-cell atomic on a cache line shared by every place and two
-/// clock reads per cell would otherwise dominate a trivial kernel.
+/// Progress is checked once at the end of the round, and its ready
+/// batch is timed once for `busy_ns`: a per-cell atomic on a cache line
+/// shared by every place and two clock reads per cell would otherwise
+/// dominate a trivial kernel.
 ///
 /// Extracted from [`worker_loop`] so it can also drive the multi-job
 /// pool in [`crate::jobs`], where one thread services many jobs and must
@@ -651,7 +650,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
     if !progress && shared.schedule == ScheduleStrategy::WorkStealing {
         progress = try_steal(shared, slot, wid, bufs);
     }
-    flush_progress(shared, bufs);
+    check_progress(shared);
     progress
 }
 
@@ -663,19 +662,12 @@ fn charge_busy<V>(shard: &Shard<V>, t0: Instant) {
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// Moves this worker's unflushed publishes into the shared progress
-/// counter, then sets `done` once every vertex is finished and fires
-/// any progress-triggered kill whose threshold the count has reached.
-///
-/// Called at the end of every [`worker_rounds`] and after every
-/// idle-path message, so nothing stays buffered across rounds (nor
-/// across jobs, whose pool threads share one `WorkerBufs`).
-pub(crate) fn flush_progress<A: DpApp>(shared: &Shared<A>, bufs: &mut WorkerBufs) {
-    let n = std::mem::take(&mut bufs.published);
-    if n == 0 {
-        return;
-    }
-    let g = shared.finished_global.fetch_add(n, Ordering::AcqRel) + n;
+/// Sets `done` once every vertex is finished and fires any
+/// progress-triggered kill whose threshold the finished count has
+/// reached. Called at the end of every [`worker_rounds`], and after
+/// every publish while a kill is still armed.
+fn check_progress<A: DpApp>(shared: &Shared<A>) {
+    let g = shared.finished();
     if g >= shared.total {
         shared.done.store(true, Ordering::Release);
     }
@@ -688,13 +680,11 @@ pub(crate) fn flush_progress<A: DpApp>(shared: &Shared<A>, bufs: &mut WorkerBufs
 }
 
 /// Reusable per-worker scratch buffers (hot path: no fresh allocations
-/// per vertex), plus the worker's not-yet-flushed publish count.
+/// per vertex).
 pub(crate) struct WorkerBufs {
     deps: Vec<VertexId>,
     anti: Vec<VertexId>,
     groups: HashMap<u16, Vec<VertexId>>,
-    /// Publishes since the last [`flush_progress`].
-    published: u64,
 }
 
 impl Default for WorkerBufs {
@@ -703,7 +693,6 @@ impl Default for WorkerBufs {
             deps: Vec::with_capacity(8),
             anti: Vec::with_capacity(8),
             groups: HashMap::new(),
-            published: 0,
         }
     }
 }
@@ -842,7 +831,7 @@ fn handle_push<A: DpApp>(
     agg_record(shared, slot, from, &value);
     shard.cache.lock().insert(from.pack(), value.clone());
     {
-        let mut pending = shard.pending.lock();
+        let mut pending = shard.lock_pending();
         for t in &targets {
             let tli = local_index(&shared.dist, *t);
             if shard.finished[tli as usize].load(Ordering::Acquire) {
@@ -875,7 +864,6 @@ fn handle_push<A: DpApp>(
                 }
             }
         }
-        shard.sync_parked(&pending);
     }
     for t in targets {
         decrement(shared, slot, t);
@@ -915,7 +903,7 @@ fn handle_pull_val<A: DpApp>(
         .instant_now(me.0, wid, EventKind::PullFill, id.pack());
     agg_record(shared, slot, id, &value);
     shard.cache.lock().insert(id.pack(), value.clone());
-    let mut pending = shard.pending.lock();
+    let mut pending = shard.lock_pending();
     if let Some(waiters) = pending.waiters.remove(&id.pack()) {
         for wli in waiters {
             if let Some(p) = pending.parked.get_mut(&wli) {
@@ -1113,8 +1101,10 @@ fn execute_ranged<A: DpApp>(
 /// Gathers dependency values: local reads, then cache, then previously
 /// pulled fills; parks the vertex and issues pulls for anything missing.
 ///
-/// While no vertex of the shard is parked, [`gather_fast`] tries first;
-/// on any miss the full path below runs from scratch.
+/// Local values are read with no lock, the cache lock is taken at the
+/// first remote dependency only, and a gather that finds every value
+/// takes the `pending` lock only while some vertex of the shard is
+/// parked (otherwise this one has no parked entry to drop).
 fn gather<A: DpApp>(
     shared: &Arc<Shared<A>>,
     slot: usize,
@@ -1126,21 +1116,19 @@ fn gather<A: DpApp>(
     if deps.is_empty() {
         return Some(Vec::new());
     }
-    if shard.parked_len.load(Ordering::Acquire) == 0 {
-        if let Some(vals) = gather_fast(shared, slot, wid, deps) {
-            return Some(vals);
-        }
-    }
     let me = shared.dist.places()[slot];
 
     let mut vals: Vec<Option<A::Value>> = Vec::with_capacity(deps.len());
     {
-        let cache = shard.cache.lock();
+        let mut cache = None;
         for d in deps {
             if shared.dist.slot_of(d.i, d.j) == slot {
                 let dli = local_index(&shared.dist, *d);
                 vals.push(Some(shard.value(dli).clone()));
-            } else if let Some(v) = cache.get(d.pack()) {
+            } else if let Some(v) = cache
+                .get_or_insert_with(|| shard.cache.lock())
+                .get(d.pack())
+            {
                 shared.stats.place(me).on_cache_hit();
                 shared
                     .recorder
@@ -1153,9 +1141,9 @@ fn gather<A: DpApp>(
     }
 
     if vals.iter().all(Option::is_some) {
-        let mut pending = shard.pending.lock();
-        pending.parked.remove(&li);
-        shard.sync_parked(&pending);
+        if shard.parked_len() != 0 {
+            shard.lock_pending().parked.remove(&li);
+        }
         return Some(vals.into_iter().map(Option::unwrap).collect());
     }
 
@@ -1163,7 +1151,7 @@ fn gather<A: DpApp>(
     // rest. Consuming a pushed fill is the round-trip the push saved; it
     // demotes to Pulled so a later re-gather of a still-parked vertex
     // doesn't count it twice.
-    let mut pending = shard.pending.lock();
+    let mut pending = shard.lock_pending();
     if let Some(p) = pending.parked.get_mut(&li) {
         for (k, d) in deps.iter().enumerate() {
             if vals[k].is_none() {
@@ -1182,7 +1170,6 @@ fn gather<A: DpApp>(
     }
     if vals.iter().all(Option::is_some) {
         pending.parked.remove(&li);
-        shard.sync_parked(&pending);
         return Some(vals.into_iter().map(Option::unwrap).collect());
     }
 
@@ -1203,7 +1190,6 @@ fn gather<A: DpApp>(
             }
         }
     }
-    shard.sync_parked(&pending);
     let mut to_pull: Vec<VertexId> = Vec::new();
     for d in newly_missing {
         let waiters = pending.waiters.entry(d.pack()).or_default();
@@ -1233,57 +1219,9 @@ fn gather<A: DpApp>(
     None
 }
 
-/// The lock-free gather: local values are read without any lock, the
-/// cache lock is taken only when some dependency is remote, and the
-/// `pending` lock never. Valid only while the shard has no parked vertex
-/// (so this one holds no fills and has nothing to unpark).
-///
-/// Returns `None` on the first cache miss, having recorded nothing: the
-/// caller's full path then counts hits, misses and pulls exactly once.
-#[inline]
-fn gather_fast<A: DpApp>(
-    shared: &Shared<A>,
-    slot: usize,
-    wid: u16,
-    deps: &[VertexId],
-) -> Option<Vec<A::Value>> {
-    let shard = &shared.shards[slot];
-    let mut vals = Vec::with_capacity(deps.len());
-    let mut cache = None;
-    let mut hits = 0;
-    for d in deps {
-        if shared.dist.slot_of(d.i, d.j) == slot {
-            vals.push(shard.value(local_index(&shared.dist, *d)).clone());
-        } else {
-            let cache = cache.get_or_insert_with(|| shard.cache.lock());
-            vals.push(cache.get(d.pack())?.clone());
-            hits += 1;
-        }
-    }
-    drop(cache);
-    if hits > 0 {
-        let me = shared.dist.places()[slot];
-        for _ in 0..hits {
-            shared.stats.place(me).on_cache_hit();
-        }
-        if shared.recorder.enabled() {
-            for d in deps
-                .iter()
-                .filter(|d| shared.dist.slot_of(d.i, d.j) != slot)
-            {
-                shared
-                    .recorder
-                    .instant_now(me.0, wid, EventKind::CacheHit, d.pack());
-            }
-        }
-    }
-    Some(vals)
-}
-
-/// Publishes a computed value: store, flag, decrement anti-dependencies
-/// (locally or by message), and count the publish towards the worker's
-/// next [`flush_progress`], which advances the finished counter and
-/// triggers termination and any planned fault.
+/// Publishes a computed value: store, flag, count, and decrement
+/// anti-dependencies (locally or by message). Termination and planned
+/// faults follow from the count in [`check_progress`].
 fn publish<A: DpApp>(
     shared: &Arc<Shared<A>>,
     slot: usize,
@@ -1341,14 +1279,13 @@ fn publish<A: DpApp>(
         shared.send(me, PlaceId(q), msg);
     }
 
-    bufs.published += 1;
     // An armed kill must fire at exactly its finished count, so while
-    // one is pending every publish flushes on its own.
+    // one is pending every publish checks on its own.
     if shared
         .fault_plan
         .iter()
         .any(|t| !t.fired.load(Ordering::Relaxed))
     {
-        flush_progress(shared, bufs);
+        check_progress(shared);
     }
 }

@@ -931,7 +931,6 @@ impl<A: DpApp + 'static> JobRunner<A> {
                 liveness: self.node.liveness().clone(),
                 stats: self.node.stats().clone(),
                 total,
-                finished_global: AtomicU64::new(prefinished),
                 prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),

@@ -830,7 +830,6 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 liveness: self.node.liveness().clone(),
                 stats: self.node.stats().clone(),
                 total,
-                finished_global: AtomicU64::new(prefinished),
                 prefinished,
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),

@@ -4,8 +4,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dpx10_sync::Mutex;
 use dpx10_sync::SegQueue;
+use dpx10_sync::{Mutex, MutexGuard};
 
 use dpx10_dag::{AggSpec, DagPattern, VertexId};
 use dpx10_distarray::{AggTable, Dist, DistArray};
@@ -86,12 +86,12 @@ pub struct Shard<V> {
     pub ready: SegQueue<u32>,
     /// Remote-value FIFO cache.
     pub cache: Mutex<FifoCache<V>>,
-    /// Parked vertices and outstanding pulls.
-    pub pending: Mutex<Pending<V>>,
-    /// Mirror of `pending.parked.len()`, stored under the `pending` lock
-    /// after every change (see [`Shard::sync_parked`]). While it reads 0
-    /// no vertex holds fills, so a gather may skip the `pending` lock.
-    pub parked_len: AtomicUsize,
+    /// Parked vertices and outstanding pulls; reached only through
+    /// [`Shard::lock_pending`], which keeps `parked_len` in step.
+    pending: Mutex<Pending<V>>,
+    /// Mirror of `pending.parked.len()`, stored as every
+    /// [`PendingGuard`] drops, so still under the lock.
+    parked_len: AtomicUsize,
     /// Local finished counter ("a finished vertices counter is used to
     /// determine the termination of the worker").
     pub finished_local: AtomicU64,
@@ -116,13 +116,50 @@ impl<V: VertexValue> Shard<V> {
             .get()
             .expect("value read before publication")
     }
+}
 
-    /// Refreshes [`Shard::parked_len`]; call with the `pending` lock held
-    /// after changing `pending.parked`.
+impl<V> Shard<V> {
+    /// Locks the shard's pull bookkeeping.
+    pub fn lock_pending(&self) -> PendingGuard<'_, V> {
+        PendingGuard {
+            guard: self.pending.lock(),
+            parked_len: &self.parked_len,
+        }
+    }
+
+    /// Number of parked vertices, read without the lock. While it is 0
+    /// no vertex holds fills or has a parked entry to drop, so a gather
+    /// that found every value may skip the `pending` lock.
     #[inline]
-    pub fn sync_parked(&self, pending: &Pending<V>) {
+    pub fn parked_len(&self) -> usize {
+        self.parked_len.load(Ordering::Acquire)
+    }
+}
+
+/// The locked [`Pending`] of a shard. Dropping it publishes
+/// `parked.len()` to [`Shard::parked_len`] before the lock is released.
+pub struct PendingGuard<'a, V> {
+    guard: MutexGuard<'a, Pending<V>>,
+    parked_len: &'a AtomicUsize,
+}
+
+impl<V> std::ops::Deref for PendingGuard<'_, V> {
+    type Target = Pending<V>;
+    fn deref(&self) -> &Pending<V> {
+        &self.guard
+    }
+}
+
+impl<V> std::ops::DerefMut for PendingGuard<'_, V> {
+    fn deref_mut(&mut self) -> &mut Pending<V> {
+        &mut self.guard
+    }
+}
+
+impl<V> Drop for PendingGuard<'_, V> {
+    fn drop(&mut self) {
         self.parked_len
-            .store(pending.parked.len(), Ordering::Release);
+            .store(self.guard.parked.len(), Ordering::Release);
     }
 }
 

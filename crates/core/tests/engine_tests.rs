@@ -447,12 +447,12 @@ fn concurrent_pulls_of_one_vertex_fold_into_a_single_request() {
 
 #[test]
 fn kill_armed_for_the_last_round_still_recovers() {
-    // Publishes reach the shared progress counter once per worker
-    // round, but an armed kill must still fire at its exact finished
-    // count. Here the threshold is 143 of 144 cells: the 143rd and the
-    // final cell are finished by the same worker, in the same round, so
-    // a batched count would reach the threshold and the total together
-    // and `done` would hide the dead place.
+    // Workers check progress once per round, but an armed kill must
+    // still fire at its exact finished count. Here the threshold is 143
+    // of 144 cells: the 143rd and the final cell are finished by the
+    // same worker, in the same round, so a per-round check would see
+    // the threshold and the total together and `done` would hide the
+    // dead place.
     let pattern = Grid3::new(12, 12);
     let expect = oracle(&pattern, &MixApp);
     let config = EngineConfig::flat(4).with_fault(FaultPlan {

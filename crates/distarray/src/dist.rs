@@ -61,8 +61,11 @@ impl std::fmt::Debug for DistKind {
 /// [`Dist::new`] tabulates each line's owner and rank once, so the hot
 /// lookups [`Dist::slot_of`] and [`Dist::local_index`] are a table load
 /// plus a multiply-add instead of several integer divisions. The table
-/// is O(height + width), never O(cells).
-#[derive(Clone, Debug)]
+/// has one 12-byte entry per line of the partitioned axis: `height`
+/// entries for row kinds, `width` for column kinds. That is O(cells)
+/// only for a degenerate region, such as a 1 x n region split by
+/// columns, where it adds 12 bytes per cell.
+#[derive(Clone)]
 pub struct Dist {
     region: Region2D,
     kind: DistKind,
@@ -73,6 +76,18 @@ pub struct Dist {
     lines: Box<[Line]>,
     /// Slot -> number of lines it owns (all 0 for [`DistKind::Custom`]).
     slot_lines: Box<[u32]>,
+}
+
+impl std::fmt::Debug for Dist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The line table is derived from the fields shown and can be as
+        // long as the region is wide; leave it out.
+        f.debug_struct("Dist")
+            .field("region", &self.region)
+            .field("kind", &self.kind)
+            .field("places", &self.places)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One line of the partitioned axis.

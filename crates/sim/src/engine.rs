@@ -596,7 +596,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
             }
         }
         if vals.iter().all(Option::is_some) {
-            ep.shards[slot].pending.lock().parked.remove(&li);
+            ep.shards[slot].lock_pending().parked.remove(&li);
             return Some(vals.into_iter().map(Option::unwrap).collect());
         }
 
@@ -606,7 +606,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
         let mut complete = false;
         {
             let shard = &ep.shards[slot];
-            let mut pending = shard.pending.lock();
+            let mut pending = shard.lock_pending();
             // Previously pulled (or eagerly pushed) fills; consuming a
             // pushed fill demotes it to Pulled so a re-gather of a
             // still-parked vertex doesn't count the saving twice.
@@ -774,7 +774,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 let mut refill: Vec<u32> = Vec::new();
                 let shard = &ep.shards[slot];
                 shard.cache.lock().insert(id.pack(), value.clone());
-                let mut pending = shard.pending.lock();
+                let mut pending = shard.lock_pending();
                 if let Some(waiters) = pending.waiters.remove(&id.pack()) {
                     for wli in waiters {
                         if let Some(p) = pending.parked.get_mut(&wli) {
@@ -841,7 +841,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 shard.cache.lock().insert(from.pack(), value.clone());
                 let mut refill: Vec<u32> = Vec::new();
                 {
-                    let mut pending = shard.pending.lock();
+                    let mut pending = shard.lock_pending();
                     for tgt in &targets {
                         let tli = local_index(&ep.dist, *tgt);
                         if shard.finished[tli as usize].load(Ordering::Relaxed) {
