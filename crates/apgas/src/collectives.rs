@@ -644,14 +644,14 @@ mod tests {
     #[test]
     fn reduce_routes_around_a_dead_parent() {
         // Rank 1 is dead; ranks 3 and 5 (its children) must re-route
-        // their contributions to the live ancestor, the root.
+        // their contributions to the live ancestor, the root. Every rank
+        // marks the death before reducing, so none can hand its count
+        // to rank 1 before the kill lands.
         let got = run_all(6, |tr, ranks, me| {
             if me == 1 {
                 return None;
             }
-            if me == 0 {
-                tr.liveness().kill(ranks[1]);
-            }
+            tr.liveness().kill(ranks[1]);
             let s = CollectiveSchedule::new(ranks.len(), 0);
             reduce(tr.as_ref(), &s, &ranks, me, 1u64, TICK)
                 .map(|entries| entries.into_iter().map(|(_, v)| v).sum())

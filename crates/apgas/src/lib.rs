@@ -41,7 +41,6 @@ pub mod activity;
 pub mod chaos;
 pub mod coalesce;
 pub mod codec;
-pub mod collective;
 pub mod collectives;
 pub mod fault;
 pub mod mailbox;

@@ -324,7 +324,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
 }
 
 /// Everything an epoch's workers share. `pub(crate)` because the socket
-/// engine drives the same worker loop over its own transport.
+/// job pool drives the same worker rounds over its own transport.
 pub(crate) struct Shared<A: DpApp> {
     pub(crate) app: Arc<A>,
     pub(crate) stall_limit: Duration,
@@ -502,22 +502,15 @@ fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
 /// The per-thread worker: drain messages, execute ready vertices, steal
 /// if configured, park briefly when idle (paper §VI-C's worker loop).
 ///
-/// The inbox is `shared.transport`'s — the same loop serves the threaded
-/// engine (mailboxes) and each place process of the socket engine.
+/// The inbox is `shared.transport`'s. The threaded engine runs one loop
+/// per worker thread; the socket job pool runs the same rounds and the
+/// same idle step ([`idle_wait`]) across all of a place's jobs.
 pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
     let me = shared.dist.places()[slot];
     let mut bufs = WorkerBufs::default();
     let mut idle_rounds = 0u32;
-    // Process-wide worker id: the trace track this thread records onto,
-    // and the shaker substream selector.
-    let wid = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
-    // The schedule shaker: a per-worker substream of the chaos seed that
-    // randomizes drain budgets, ready-pop order and yield points. Any
-    // interleaving it produces is one the engine must tolerate anyway —
-    // the shaker just reaches them on purpose.
-    let mut shaker = shared
-        .shake
-        .map(|seed| ChaosRng::new(seed).fork(0x5748_4B52).fork(wid)); // "WHKR"
+    // The epoch-wide worker id doubles as the trace track.
+    let (wid, mut shaker) = next_worker(&shared);
     let wid = wid as u16;
     loop {
         if shared.should_stop() || !shared.liveness.is_alive(me) {
@@ -536,18 +529,54 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
             // never fills its byte budget.
             shared.transport.flush(me);
         }
-        if idle_rounds < 8 {
-            std::thread::yield_now();
-        } else {
-            shared.transport.flush(me);
-            if let Some(env) = shared
-                .transport
-                .recv_timeout(me, Duration::from_micros(500))
-            {
-                handle_msg(&shared, slot, wid, env, &mut bufs);
-                idle_rounds = 0;
-            }
+        if idle_wait(&shared, slot, wid, idle_rounds, &mut bufs) {
+            idle_rounds = 0;
         }
+    }
+}
+
+/// Takes the next epoch-wide worker id and derives that worker's
+/// schedule shaker: a substream of the chaos seed that randomizes drain
+/// budgets, ready-pop order and yield points. Any interleaving it
+/// produces is one the engine must tolerate anyway — the shaker just
+/// reaches them on purpose. The shaker is `None` unless the epoch
+/// shakes.
+pub(crate) fn next_worker<A: DpApp>(shared: &Shared<A>) -> (u64, Option<ChaosRng>) {
+    let wid = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
+    let shaker = shared
+        .shake
+        .map(|seed| ChaosRng::new(seed).fork(0x5748_4B52).fork(wid)); // "WHKR"
+    (wid, shaker)
+}
+
+/// One idle step of a worker that has made no progress for `rounds`
+/// rounds in a row: yield for the first few, then drain the coalescing
+/// layer and block up to 500 µs for the next inbound message, handling
+/// it at once. Returns whether a message was handled (the idle run is
+/// over). Shared by [`worker_loop`] and the socket job pool, so both
+/// idle alike.
+pub(crate) fn idle_wait<A: DpApp>(
+    shared: &Arc<Shared<A>>,
+    slot: usize,
+    wid: u16,
+    rounds: u32,
+    bufs: &mut WorkerBufs,
+) -> bool {
+    if rounds < 8 {
+        std::thread::yield_now();
+        return false;
+    }
+    let me = shared.dist.places()[slot];
+    shared.transport.flush(me);
+    match shared
+        .transport
+        .recv_timeout(me, Duration::from_micros(500))
+    {
+        Some(env) => {
+            handle_msg(shared, slot, wid, env, bufs);
+            true
+        }
+        None => false,
     }
 }
 
@@ -561,9 +590,9 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
 /// shared by every place and two clock reads per cell would otherwise
 /// dominate a trivial kernel.
 ///
-/// Extracted from [`worker_loop`] so it can also drive the multi-job
-/// pool in [`crate::jobs`], where one thread services many jobs and must
-/// never block on any single one of them.
+/// Extracted from [`worker_loop`] so it can also drive the socket job
+/// pool in [`crate::jobs`], where one thread services every job of a
+/// place and must never block on any single one of them.
 pub(crate) fn worker_rounds<A: DpApp>(
     shared: &Arc<Shared<A>>,
     slot: usize,

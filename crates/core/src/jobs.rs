@@ -1,16 +1,16 @@
-//! The multi-job scheduler: serve many independent DP jobs over one
-//! shared socket mesh.
+//! The serve loop: many independent DP jobs over one shared socket mesh.
 //!
-//! The one-shot engines tear the world down after a single DAG. A
-//! service cannot: the ROADMAP's "heavy traffic" north-star needs many
-//! jobs admitted, scheduled and recovered concurrently over a mesh that
-//! outlives all of them. [`JobServer`] provides that layer:
+//! Every socket run goes through here — [`crate::SocketEngine::run`] is a
+//! one-job serve. The serve loop owns what outlives any one job: the
+//! mesh connection, the frame demux, the worker pool and admission. Each
+//! admitted job runs the epoch protocol of [`crate::socket_engine`]
+//! through its own driver:
 //!
-//! * **Namespacing** — every frame of a served job travels wrapped in
+//! * **Namespacing** — every frame of a job travels wrapped in
 //!   [`Wire::Job`]`(job_id, …)`, so one demux thread per place routes
 //!   traffic to per-job channels and one job's abort or park can never
-//!   destroy another job's frames. Bare (unwrapped) legacy frames are
-//!   treated as job 0, keeping a serve demux tolerant of pre-job peers.
+//!   destroy another job's frames. Only `Die` (crash this place) and
+//!   `Done` (the serve is over) travel bare.
 //! * **Admission** — jobs run in a deterministic (priority descending,
 //!   submission order ascending) sequence with at most
 //!   [`JobServer::with_max_in_flight`] drivers live per place, and
@@ -24,49 +24,54 @@
 //!   [`crate::engine`]'s budgeted `worker_rounds`, so a wide job cannot
 //!   starve a narrow one of compute threads.
 //! * **Fault isolation** — liveness is mesh-level, recovery is per-job:
-//!   a place death triggers the §VI-D recovery protocol only for jobs
-//!   whose placement contains the dead place; everything else keeps
-//!   running undisturbed on its own epoch chain.
+//!   a place death (detected, or a job's planned kill) triggers the
+//!   §VI-D recovery protocol only for jobs whose placement contains the
+//!   dead place; everything else keeps running undisturbed on its own
+//!   epoch chain.
 //!
 //! Place 0 coordinates every job (placements must include it) and is
 //! the only place that returns a [`ServeReport`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use dpx10_apgas::codec::{decode_exact, encode_to_vec};
+use dpx10_apgas::codec::encode_to_vec;
 use dpx10_apgas::mailbox::Envelope;
-use dpx10_apgas::{
-    ChaosRng, CoalesceConfig, CoalescingTransport, DeadPlaceError, PlaceId, SocketConfig,
-    SocketNode, Transport,
-};
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
-use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
+use dpx10_apgas::{ChaosRng, PlaceId, SocketConfig, SocketNode};
+use dpx10_dag::{validate_pattern, DagPattern};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
-use crate::config::EngineConfig;
-use crate::engine::{worker_rounds, Shared, WorkerBufs};
+use crate::config::{EngineConfig, InitOverride};
+use crate::engine::{idle_wait, next_worker, worker_rounds, Shared, WorkerBufs};
 use crate::error::EngineError;
 use crate::msg::Msg;
-use crate::socket_engine::{downgrade_schedule, AppPlane, Wire};
-use crate::state::{build_shards, collect_array};
-use crate::stats::{RunReport, ScheduleDowngrade};
+use crate::schedule::ScheduleStrategy;
+use crate::socket_engine::{decode_frame, AppPlane, Driver, Wire, SNAPSHOT_DEADLINE};
+use crate::stats::ScheduleDowngrade;
 
 /// A job's control-frame receiver: `(src, unwrapped frame)`.
 type CtlReceiver<V> = Receiver<(PlaceId, Wire<V>)>;
 
-/// What a job's driver thread hands back: `Ok(Some)` only on place 0.
-type JobResult<V> = Result<Option<DagResult<V>>, EngineError>;
+/// What a job's driver hands back: `Ok(Some)` only on place 0.
+pub(crate) type JobResult<V> = Result<Option<DagResult<V>>, EngineError>;
 
-/// How long a worker place waits for its per-job release after sending a
-/// snapshot (mirrors the single-job engine's deadline).
-const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
-
-/// How often a worker place re-sends unchanged per-job progress.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(50);
+/// Applies the socket backend's scheduling restrictions to `config` and
+/// returns a record of what changed.
+fn downgrade_schedule(config: &mut EngineConfig) -> Option<ScheduleDowngrade> {
+    if config.schedule == ScheduleStrategy::WorkStealing {
+        config.schedule = ScheduleStrategy::Local;
+        return Some(ScheduleDowngrade {
+            requested: ScheduleStrategy::WorkStealing,
+            effective: ScheduleStrategy::Local,
+            reason: "work stealing needs shared-memory ready lists, \
+                     which do not exist across socket places",
+        });
+    }
+    None
+}
 
 /// One job of a serve: a DP application over a pattern, with its own
 /// engine configuration, an admission priority and an optional placement
@@ -79,8 +84,10 @@ pub struct JobSpec<A: DpApp> {
     /// The dependency pattern the job solves.
     pub pattern: Arc<dyn DagPattern>,
     /// Per-job engine configuration. Its topology must have exactly as
-    /// many places as the job's placement; checkpointing and fault plans
-    /// are serve-level concerns and get cleared at admission.
+    /// many places as the job's placement. Planned faults (`fault`,
+    /// `chaos` kills) may only name places of the placement other than
+    /// place 0; when one fires, the victim place crashes, so every job
+    /// placed on it recovers. Checkpointing is cleared at admission.
     pub config: EngineConfig,
     /// Admission priority: higher runs earlier. Ties break by
     /// submission order.
@@ -88,6 +95,8 @@ pub struct JobSpec<A: DpApp> {
     /// `Some` pins the job to a subset of the mesh (must include place
     /// 0, the per-job coordinator); `None` uses every place.
     pub places: Option<Vec<PlaceId>>,
+    /// The solo engine's §VI-E initialisation override.
+    pub(crate) init: Option<InitOverride<A::Value>>,
 }
 
 impl<A: DpApp> JobSpec<A> {
@@ -106,6 +115,7 @@ impl<A: DpApp> JobSpec<A> {
             config,
             priority: 0,
             places: None,
+            init: None,
         }
     }
 
@@ -122,18 +132,6 @@ impl<A: DpApp> JobSpec<A> {
     }
 }
 
-/// A serve-level planned fault: the victim place crashes once it has
-/// published `after_vertices` vertices across *all* jobs it hosts —
-/// chaos for the multi-job recovery path, analogous to the single-job
-/// [`crate::config::FaultPlan`].
-#[derive(Clone, Copy, Debug)]
-pub struct ServeKill {
-    /// The place that dies (never place 0).
-    pub place: PlaceId,
-    /// Vertices the victim publishes (summed over jobs) before dying.
-    pub after_vertices: u64,
-}
-
 /// One job's fate in a finished serve.
 pub struct JobOutcome<V: VertexValue> {
     /// The job's id (its submission index).
@@ -145,9 +143,9 @@ pub struct JobOutcome<V: VertexValue> {
     /// Time the job spent queued between serve start and admission.
     pub wait: Duration,
     /// The job's result, exactly as a solo run would report it (per-job
-    /// epochs and recoveries included). Communication counters are
-    /// mesh-level and not attributed per job, so `report().comm` stays
-    /// at its default here.
+    /// epochs and recoveries included). The communication counters in
+    /// `report().comm` are mesh-level: they count every job's traffic
+    /// on the mesh up to this job's end, so concurrent jobs share them.
     pub result: Result<DagResult<V>, EngineError>,
 }
 
@@ -168,6 +166,19 @@ impl<V: VertexValue> ServeReport<V> {
     }
 }
 
+/// What the serve loop hands back on every place.
+pub(crate) struct Served<V> {
+    /// The place this process served as.
+    me: PlaceId,
+    /// Per job, its driver's result on this place (`None`: the job is
+    /// not placed here).
+    pub(crate) results: Vec<Option<JobResult<V>>>,
+    /// Per job, the time it waited for admission on this place.
+    waits: Vec<Duration>,
+    /// The most jobs in flight at once on this place.
+    peak: usize,
+}
+
 /// Serves a batch of DP jobs over one socket mesh. Construct and submit
 /// identically on every place process, then call
 /// [`serve`](JobServer::serve) with that process's [`SocketConfig`] —
@@ -178,7 +189,6 @@ pub struct JobServer<A: DpApp> {
     max_queue: usize,
     pool_threads: Option<usize>,
     soft_die: bool,
-    kill: Option<ServeKill>,
     recorder: Recorder,
 }
 
@@ -197,7 +207,6 @@ impl<A: DpApp + 'static> JobServer<A> {
             max_queue: 64,
             pool_threads: None,
             soft_die: false,
-            kill: None,
             recorder: Recorder::disabled(),
         }
     }
@@ -227,12 +236,6 @@ impl<A: DpApp + 'static> JobServer<A> {
     /// (see [`crate::SocketEngine::with_soft_die`]).
     pub fn with_soft_die(mut self) -> Self {
         self.soft_die = true;
-        self
-    }
-
-    /// Arms a serve-level planned fault (see [`ServeKill`]).
-    pub fn with_kill(mut self, kill: ServeKill) -> Self {
-        self.kill = Some(kill);
         self
     }
 
@@ -278,8 +281,48 @@ impl<A: DpApp + 'static> JobServer<A> {
         &self,
         socket: SocketConfig,
     ) -> Result<Option<ServeReport<A::Value>>, EngineError> {
+        let served = self.serve_all(socket)?;
+        if served.me != PlaceId::ZERO {
+            return Ok(None);
+        }
+        let jobs = served
+            .results
+            .into_iter()
+            .enumerate()
+            .map(|(j, r)| JobOutcome {
+                job_id: j as u32,
+                name: self.jobs[j].name.clone(),
+                priority: self.jobs[j].priority,
+                wait: served.waits[j],
+                result: match r {
+                    Some(Ok(Some(result))) => Ok(result),
+                    Some(Ok(None)) => Err(EngineError::Job("job ended without a result".into())),
+                    Some(Err(e)) => Err(e),
+                    None => Err(EngineError::Job("job was never admitted".into())),
+                },
+            })
+            .collect();
+        Ok(Some(ServeReport {
+            jobs,
+            peak_in_flight: served.peak,
+        }))
+    }
+
+    /// The serve loop behind [`serve`](JobServer::serve) and
+    /// [`crate::SocketEngine::run`]: joins the mesh, runs every job
+    /// placed here, and returns each job's result on this place.
+    pub(crate) fn serve_all(&self, socket: SocketConfig) -> Result<Served<A::Value>, EngineError> {
         if self.jobs.is_empty() {
             return Err(EngineError::Job("no jobs submitted".into()));
+        }
+        // Pattern validation needs no mesh, so a bad pattern fails on
+        // every place before any connection is made.
+        for spec in &self.jobs {
+            if spec.config.validate_pattern
+                && spec.pattern.vertex_count() <= spec.config.validate_limit
+            {
+                validate_pattern(spec.pattern.as_ref())?;
+            }
         }
         let recorder = self.recorder.clone();
         let mut socket = socket;
@@ -291,29 +334,18 @@ impl<A: DpApp + 'static> JobServer<A> {
                 .map_err(|e| EngineError::Socket(format!("mesh formation failed: {e}")))?,
         );
         let me = node.me();
-        let places = node.places();
         // Every place validates the same specs the same way; an invalid
         // serve fails identically everywhere, tearing the mesh down
         // symmetrically. Validation runs against the live roster, not
         // the founding count — slots drained out of an elastic mesh are
         // not schedulable.
-        let members = node.roster().members();
-        let placements = match self.resolve_placements(&members) {
+        let placements = match self.resolve_placements(&node.roster().members()) {
             Ok(p) => p,
             Err(e) => {
                 node.shutdown();
                 return Err(e);
             }
         };
-        if let Some(kill) = self.kill {
-            if kill.place == PlaceId::ZERO || kill.place.index() >= places as usize {
-                node.shutdown();
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{} is not a killable place",
-                    kill.place
-                )));
-            }
-        }
 
         // Per-job channels and planes exist before any job is admitted,
         // so traffic from a place that admitted a job earlier than us
@@ -329,11 +361,7 @@ impl<A: DpApp + 'static> JobServer<A> {
             let (ctl_tx, ctl_rx) = unbounded();
             app_txs.push(app_tx);
             ctl_txs.push(ctl_tx);
-            planes.push(Arc::new(AppPlane::new(
-                node.clone(),
-                app_rx,
-                Some(j as u32),
-            )));
+            planes.push(Arc::new(AppPlane::new(node.clone(), app_rx, j as u32)));
             ctl_rxs.push(Some(ctl_rx));
         }
 
@@ -372,30 +400,10 @@ impl<A: DpApp + 'static> JobServer<A> {
             // mid-protocol; dying loudly lets the mesh detect us.
             let handle = std::thread::Builder::new()
                 .name(format!("dpx10-pool-p{}w{t}", me.index()))
-                .spawn(move || pool_loop(pool, me, t, dying))
+                .spawn(move || pool_loop(pool, t, dying))
                 .expect("spawn pool worker");
             pool_handles.push(handle);
         }
-
-        let watchdog = self.kill.filter(|k| k.place == me).map(|kill| {
-            let (pool, node, dying, stop) =
-                (pool.clone(), node.clone(), dying.clone(), stop.clone());
-            let (soft_die, recorder) = (self.soft_die, recorder.clone());
-            std::thread::Builder::new()
-                .name(format!("dpx10-kill-p{}", me.index()))
-                .spawn(move || {
-                    kill_watchdog(
-                        pool,
-                        node,
-                        dying,
-                        stop,
-                        kill.after_vertices,
-                        soft_die,
-                        recorder,
-                    )
-                })
-                .expect("spawn kill watchdog")
-        });
 
         // Deterministic admission order: priority descending, submission
         // id ascending — identical on every place by construction.
@@ -424,34 +432,36 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let spec = &self.jobs[j];
                 let mut config = spec.config.clone();
                 let downgrade = downgrade_schedule(&mut config);
-                // Serve-level concerns: checkpoint writers assume one
-                // process owns all places' files, and faults are injected
-                // by `ServeKill`, not per job.
+                // Checkpoint writers assume one process owns all places'
+                // files.
                 config.checkpoint = None;
-                config.fault = None;
-                config.chaos = None;
-                let runner = JobRunner {
+                let driver = Driver {
                     job_id: j as u32,
                     app: spec.app.clone(),
                     pattern: spec.pattern.clone(),
                     config,
+                    init: spec.init.clone(),
+                    downgrade,
                     placement: placements[j].clone(),
                     node: node.clone(),
                     plane: planes[j].clone(),
                     ctl_rx: ctl_rxs[j].take().expect("each job is admitted once"),
-                    me,
                     pool: pool.clone(),
                     dying: dying.clone(),
                     recorder: recorder.clone(),
-                    downgrade,
                 };
                 let tx = done_tx.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("dpx10-job{j}p{}", me.index()))
                     .spawn(move || {
-                        let result = runner.run();
-                        runner.release();
-                        let _ = tx.send((runner.job_id, result));
+                        let mut result = driver.run();
+                        if result.is_err() && driver.dying.load(Ordering::Acquire) {
+                            // A planned `Die` crashed this place under the
+                            // driver's feet: a death, not a job error.
+                            result = Ok(None);
+                        }
+                        driver.release();
+                        let _ = tx.send((driver.job_id, result));
                     })
                     .expect("spawn job driver");
                 driver_handles.push(handle);
@@ -480,7 +490,7 @@ impl<A: DpApp + 'static> JobServer<A> {
             // peer still mid-epoch. Wait for the goodbye — with an
             // orphan deadline, because a place the coordinator falsely
             // wrote off can no longer be addressed and would wait
-            // forever (same escape as the single-job snapshot wait).
+            // forever (same escape as a driver's snapshot wait).
             let orphan_deadline = Instant::now() + SNAPSHOT_DEADLINE;
             while !served_done.load(Ordering::Acquire)
                 && !dying.load(Ordering::Acquire)
@@ -501,39 +511,19 @@ impl<A: DpApp + 'static> JobServer<A> {
         }
         node.shutdown();
         let _ = demux.join();
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-
-        if me != PlaceId::ZERO {
-            return Ok(None);
-        }
-        let jobs = results
-            .into_iter()
-            .enumerate()
-            .map(|(j, r)| JobOutcome {
-                job_id: j as u32,
-                name: self.jobs[j].name.clone(),
-                priority: self.jobs[j].priority,
-                wait: waits[j],
-                result: match r {
-                    Some(Ok(Some(result))) => Ok(result),
-                    Some(Ok(None)) => Err(EngineError::Job("job ended without a result".into())),
-                    Some(Err(e)) => Err(e),
-                    None => Err(EngineError::Job("job was never admitted".into())),
-                },
-            })
-            .collect();
-        Ok(Some(ServeReport {
-            jobs,
-            peak_in_flight: peak,
-        }))
+        Ok(Served {
+            me,
+            results,
+            waits,
+            peak,
+        })
     }
 
     /// Resolves, sorts and checks every job's placement against the
     /// mesh's *live roster* — an elastic mesh may have drained or dead
     /// slots below its capacity, and a pin to one of those must be
-    /// rejected, not discovered as a hang.
+    /// rejected, not discovered as a hang — and checks that every
+    /// planned kill names a killable place of its job.
     fn resolve_placements(&self, members: &[PlaceId]) -> Result<Vec<Vec<PlaceId>>, EngineError> {
         let mut placements = Vec::with_capacity(self.jobs.len());
         for (j, spec) in self.jobs.iter().enumerate() {
@@ -560,9 +550,19 @@ impl<A: DpApp + 'static> JobServer<A> {
                     placement.len()
                 )));
             }
-            let total = spec.pattern.vertex_count();
-            if spec.config.validate_pattern && total <= spec.config.validate_limit {
-                validate_pattern(spec.pattern.as_ref())?;
+            let cfg = &spec.config;
+            let victims = cfg.fault.iter().map(|p| p.place).chain(
+                cfg.chaos
+                    .iter()
+                    .flat_map(|p| p.kills.iter().map(|k| k.place)),
+            );
+            for victim in victims {
+                if victim == PlaceId::ZERO || !placement.contains(&victim) {
+                    return Err(EngineError::BadFaultPlan(format!(
+                        "job {j} ({}): {victim} is not a killable place",
+                        spec.name
+                    )));
+                }
             }
             placements.push(placement);
         }
@@ -578,10 +578,8 @@ struct JobRoutes<V> {
 
 /// Reads raw frames off the mesh and routes them to the owning job's
 /// channels. Bare `Die`/`Done` frames are mesh-level (planned fault /
-/// serve shutdown); any other bare frame is legacy single-job traffic
-/// and lands on job 0. Unknown job ids and undecodable payloads follow
-/// the single-job policy: the former are dropped, the latter mark the
-/// sender dead.
+/// serve shutdown); any other bare frame and unknown job ids are
+/// dropped, and an undecodable payload marks its sender dead.
 fn serve_demux<V: VertexValue>(
     node: Arc<SocketNode>,
     routes: JobRoutes<V>,
@@ -594,37 +592,27 @@ fn serve_demux<V: VertexValue>(
         let Some((src, bytes)) = node.recv_bytes_timeout(Duration::from_millis(5)) else {
             continue;
         };
-        let routed = match decode_exact::<Wire<V>>(&bytes) {
-            Some(Wire::Job(job, inner)) => Some((job as usize, *inner)),
-            Some(Wire::Die) => {
+        match decode_frame::<V>(&bytes) {
+            Some((Some(job), wire)) if (job as usize) < routes.app.len() => match wire {
+                Wire::App(epoch, msg) => {
+                    let _ = routes.app[job as usize].send((epoch, Envelope { src, msg }));
+                }
+                other => {
+                    let _ = routes.ctl[job as usize].send((src, other));
+                }
+            },
+            Some((None, Wire::Die)) => {
                 dying.store(true, Ordering::Release);
                 if soft_die {
                     node.crash();
                 } else {
                     std::process::abort();
                 }
-                None
             }
-            Some(Wire::Done) => {
-                served_done.store(true, Ordering::Release);
-                None
-            }
-            Some(legacy) => Some((0, legacy)),
+            Some((None, Wire::Done)) => served_done.store(true, Ordering::Release),
+            Some(_) => {}
             None => {
                 node.liveness().mark_dead(src);
-                None
-            }
-        };
-        let Some((job, wire)) = routed else { continue };
-        if job >= routes.app.len() {
-            continue;
-        }
-        match wire {
-            Wire::App(epoch, msg) => {
-                let _ = routes.app[job].send((epoch, Envelope { src, msg }));
-            }
-            other => {
-                let _ = routes.ctl[job].send((src, other));
             }
         }
     }
@@ -633,20 +621,31 @@ fn serve_demux<V: VertexValue>(
 /// The shared worker pool of one place: one slot per job, each holding
 /// the job's current epoch state while an epoch is live. Pool threads
 /// sweep the slots round-robin so every live job advances.
-struct JobPool<A: DpApp> {
+pub(crate) struct JobPool<A: DpApp> {
     slots: Vec<PoolSlot<A>>,
-    /// Vertices this place published in *finished* epochs, all jobs
-    /// (live epochs add their `computed` on top; see
-    /// [`published`](JobPool::published)).
-    published_base: AtomicU64,
     shutdown: AtomicBool,
 }
 
 struct PoolSlot<A: DpApp> {
+    /// The attached epoch's shared state and this place's slot in it.
     work: dpx10_sync::Mutex<Option<(Arc<Shared<A>>, usize)>>,
-    /// Pool threads currently inside this slot's `worker_rounds`; the
-    /// detach barrier spins on it reaching zero.
+    /// Pool threads currently leasing this slot; the detach barrier
+    /// spins on it reaching zero.
     busy: AtomicUsize,
+}
+
+/// A pool thread's hold on one attached epoch; dropping it releases the
+/// detach barrier.
+struct Lease<'a, A: DpApp> {
+    busy: &'a AtomicUsize,
+    shared: Arc<Shared<A>>,
+    slot: usize,
+}
+
+impl<A: DpApp> Drop for Lease<'_, A> {
+    fn drop(&mut self) {
+        self.busy.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl<A: DpApp> JobPool<A> {
@@ -658,20 +657,18 @@ impl<A: DpApp> JobPool<A> {
                     busy: AtomicUsize::new(0),
                 })
                 .collect(),
-            published_base: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         }
     }
 
     /// Hands an epoch's shared state to the pool.
-    fn attach(&self, job: u32, shared: Arc<Shared<A>>, slot: usize) {
+    pub(crate) fn attach(&self, job: u32, shared: Arc<Shared<A>>, slot: usize) {
         *self.slots[job as usize].work.lock() = Some((shared, slot));
     }
 
     /// Withdraws a job's epoch from the pool and waits until no pool
-    /// thread still works on it — the quiescence barrier that replaces
-    /// the single-job engine's thread join between epochs.
-    fn detach(&self, job: u32) {
+    /// thread still works on it — the quiescence barrier between epochs.
+    pub(crate) fn detach(&self, job: u32) {
         let slot = &self.slots[job as usize];
         *slot.work.lock() = None;
         while slot.busy.load(Ordering::Acquire) != 0 {
@@ -679,717 +676,115 @@ impl<A: DpApp> JobPool<A> {
         }
     }
 
-    /// Vertices this place has published across all jobs so far.
-    fn published(&self) -> u64 {
-        let mut sum = self.published_base.load(Ordering::Relaxed);
-        for slot in &self.slots {
-            if let Some((shared, _)) = &*slot.work.lock() {
-                sum += shared.computed();
-            }
+    /// Leases job `job`'s live epoch, if one is attached and not
+    /// stopping. The busy count is bumped under the lock, so the detach
+    /// barrier can never observe zero while a lease is being taken.
+    fn lease(&self, job: usize) -> Option<Lease<'_, A>> {
+        let slot = &self.slots[job];
+        let guard = slot.work.lock();
+        let (shared, s) = guard.as_ref()?;
+        if shared.should_stop() {
+            return None;
         }
-        sum
+        slot.busy.fetch_add(1, Ordering::AcqRel);
+        Some(Lease {
+            busy: &slot.busy,
+            shared: shared.clone(),
+            slot: *s,
+        })
     }
 }
 
 /// The trace track a pool thread records a job's vertex events onto:
 /// high-numbered and keyed by `(job, thread)`, so each job's compute
-/// shows up as its own track and never collides with the single-job
-/// engines' sequential worker ids.
+/// shows up as its own track and never collides with the threaded
+/// engine's sequential worker ids.
 fn job_track(job: usize, tid: usize) -> u16 {
     0x4A00 | (((job as u16) & 0x3F) << 3) | ((tid as u16) & 0x7)
 }
 
+/// One pool thread's state for one job: the epoch it last worked on
+/// (weak, so a finished epoch's shards are freed, and its address is
+/// never reused while the lane compares against it), that epoch's
+/// shaker substream, and its run of idle rounds.
+struct Lane<A: DpApp> {
+    epoch: Weak<Shared<A>>,
+    shaker: Option<ChaosRng>,
+    idle: u32,
+}
+
 /// One pool thread: sweep every job slot, run one budgeted
-/// `worker_rounds` per live slot, idle briefly when nothing anywhere
-/// made progress. Per-slot idle counters drive the coalescing layer's
-/// idle flush exactly as the single-job worker loop does.
-fn pool_loop<A: DpApp>(pool: Arc<JobPool<A>>, me: PlaceId, tid: usize, dying: Arc<AtomicBool>) {
+/// `worker_rounds` per live slot, and when no slot made progress idle
+/// the way a threaded worker does ([`idle_wait`]), blocking on one live
+/// slot's transport at a time, round-robin.
+fn pool_loop<A: DpApp>(pool: Arc<JobPool<A>>, tid: usize, dying: Arc<AtomicBool>) {
     let mut bufs = WorkerBufs::default();
-    let mut no_shake: Option<ChaosRng> = None;
-    let mut idle: Vec<u32> = vec![0; pool.slots.len()];
+    let mut lanes: Vec<Lane<A>> = (0..pool.slots.len())
+        .map(|_| Lane {
+            epoch: Weak::new(),
+            shaker: None,
+            idle: 0,
+        })
+        .collect();
+    let mut idle_sweeps = 0u32;
+    let mut wait_from = 0usize;
     while !pool.shutdown.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
         let mut any = false;
-        for (j, slot) in pool.slots.iter().enumerate() {
-            // Lease under the lock *and* bump `busy` before releasing it,
-            // so the detach barrier can never observe zero while a clone
-            // of the epoch state is about to be worked on.
-            let leased = {
-                let guard = slot.work.lock();
-                match &*guard {
-                    Some((shared, s)) => {
-                        slot.busy.fetch_add(1, Ordering::AcqRel);
-                        Some((shared.clone(), *s))
-                    }
-                    None => None,
-                }
-            };
-            let Some((shared, s)) = leased else {
-                idle[j] = 0;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let Some(lease) = pool.lease(j) else {
                 continue;
             };
-            let mut progress = false;
-            if !shared.should_stop() {
-                progress = worker_rounds(&shared, s, job_track(j, tid), &mut bufs, &mut no_shake);
-            }
-            if progress {
-                any = true;
-                idle[j] = 0;
-            } else {
-                idle[j] = idle[j].saturating_add(1);
-                if idle[j] == 1 || idle[j] % 8 == 0 {
-                    shared.transport.flush(me);
-                }
-            }
-            slot.busy.fetch_sub(1, Ordering::AcqRel);
-        }
-        if !any {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// The victim place's self-inflicted planned fault: once this place has
-/// published the armed number of vertices across all jobs, crash —
-/// peers *detect* the death (heartbeats), exactly like a SIGKILL.
-#[allow(clippy::too_many_arguments)]
-fn kill_watchdog<A: DpApp>(
-    pool: Arc<JobPool<A>>,
-    node: Arc<SocketNode>,
-    dying: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    after_vertices: u64,
-    soft_die: bool,
-    recorder: Recorder,
-) {
-    while !stop.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
-        if pool.published() >= after_vertices {
-            recorder.instant_now(
-                node.me().0,
-                RUNTIME_WORKER,
-                EventKind::CtlDie,
-                after_vertices,
-            );
-            dying.store(true, Ordering::Release);
-            if soft_die {
-                node.crash();
-            } else {
-                std::process::abort();
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// What a per-job control loop decided the epoch's fate is — the
-/// multi-job twin of the socket engine's flow states.
-enum JobFlow<V> {
-    Finished,
-    Fault,
-    Stalled {
-        finished: u64,
-    },
-    WorkerExit,
-    WorkerResume {
-        alive: Vec<u16>,
-        cells: Vec<(u64, V)>,
-    },
-    Died,
-}
-
-/// Drives one job on one place: the per-job epoch loop, isomorphic to
-/// the single-job socket engine's driver but with every control frame
-/// wrapped in [`Wire::Job`] and the compute delegated to the shared
-/// pool instead of private worker threads.
-struct JobRunner<A: DpApp> {
-    job_id: u32,
-    app: Arc<A>,
-    pattern: Arc<dyn DagPattern>,
-    config: EngineConfig,
-    placement: Vec<PlaceId>,
-    node: Arc<SocketNode>,
-    plane: Arc<AppPlane<A::Value>>,
-    ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
-    me: PlaceId,
-    pool: Arc<JobPool<A>>,
-    dying: Arc<AtomicBool>,
-    recorder: Recorder,
-    downgrade: Option<ScheduleDowngrade>,
-}
-
-impl<A: DpApp + 'static> JobRunner<A> {
-    /// Sends a job-wrapped control frame.
-    fn send_ctl(&self, dst: PlaceId, wire: Wire<A::Value>) -> Result<(), DeadPlaceError> {
-        let framed = Wire::Job(self.job_id, Box::new(wire));
-        self.node
-            .send_bytes(dst, encode_to_vec(&framed))
-            .map(|_| ())
-    }
-
-    /// Place 0: releases this job's surviving workers, whatever the
-    /// outcome was — mirrors the single-job engine's
-    /// release-before-goodbye.
-    fn release(&self) {
-        if self.me != PlaceId::ZERO {
-            return;
-        }
-        for p in self
-            .placement
-            .iter()
-            .filter(|p| **p != self.me && self.node.liveness().is_alive(**p))
-        {
-            let _ = self.send_ctl(*p, Wire::Done);
-        }
-    }
-
-    fn run(&self) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        if self.dying.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let total = self.pattern.vertex_count();
-        let region = Region2D::new(self.pattern.height(), self.pattern.width());
-        let started = Instant::now();
-        let mut report = RunReport {
-            vertices_total: total,
-            schedule_downgrade: self.downgrade.clone(),
-            ..RunReport::default()
-        };
-        let mut alive: Vec<PlaceId> = self.placement.clone();
-        let mut prior: Option<DistArray<A::Value>> = None;
-        let mut pending_cells: Option<Vec<(u64, A::Value)>> = None;
-        let mut epoch: u32 = 0;
-
-        let final_array = loop {
-            report.epochs += 1;
-            self.plane.set_epoch(epoch);
-            let dist = Arc::new(Dist::new(
-                region,
-                self.config.dist_kind.clone(),
-                alive.clone(),
-            ));
-            if let Some(cells) = pending_cells.take() {
-                let mut arr = DistArray::new(dist.clone());
-                for (packed, v) in cells {
-                    let id = VertexId::unpack(packed);
-                    arr.set(id.i, id.j, v);
-                }
-                prior = Some(arr);
-            }
-            let Some(my_slot) = alive.iter().position(|p| *p == self.me) else {
-                // The coordinator counted us among this job's dead.
-                return Ok(None);
-            };
-            let agg =
-                crate::engine::agg_mode(&self.config, self.app.as_ref(), self.pattern.as_ref());
-            let (shards, prefinished) = build_shards(
-                self.pattern.as_ref(),
-                &dist,
-                prior.as_ref(),
-                None,
-                None,
-                self.config.cache_capacity,
-                agg,
-            );
-            if agg.is_some() {
-                crate::engine::seed_aggs(self.app.as_ref(), &shards);
-            }
-            self.recorder.instant_now(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::EpochStart,
-                u64::from(epoch),
-            );
-            if prefinished == total {
-                // Deterministic on every participant: all exit silently.
-                break collect_array(&shards, &dist);
-            }
-
-            let shared = Arc::new(Shared {
-                app: self.app.clone(),
-                stall_limit: self.config.stall_limit,
-                pattern: self.pattern.clone(),
-                dist: dist.clone(),
-                shards,
-                transport: {
-                    let base = self.plane.clone() as Arc<dyn Transport<Msg<A::Value>>>;
-                    match self.config.coalesce {
-                        // A per-job, per-epoch wrapper: coalescing lanes
-                        // are keyed by job for free, and an abandoned
-                        // epoch's buffered traffic dies with its wrapper.
-                        Some(bytes) => Arc::new(CoalescingTransport::new(
-                            base,
-                            CoalesceConfig::bytes(bytes),
-                            self.node.stats().clone(),
-                            self.recorder.clone(),
-                        )),
-                        None => base,
-                    }
-                },
-                topo: self.config.topology,
-                net: self.config.network,
-                schedule: self.config.schedule,
-                liveness: self.node.liveness().clone(),
-                stats: self.node.stats().clone(),
-                total,
-                prefinished,
-                done: AtomicBool::new(false),
-                fault: AtomicBool::new(false),
-                stalled: AtomicBool::new(false),
-                // Serve-level faults go through `ServeKill`, never here.
-                fault_plan: Vec::new(),
-                time_kills: Vec::new(),
-                run_started: started,
-                shake: None,
-                worker_seq: AtomicU64::new(0),
-                checkpoint: None,
-                recorder: self.recorder.clone(),
-                comms: self.config.comms,
-                agg,
-            });
-            self.pool.attach(self.job_id, shared.clone(), my_slot);
-
-            let outcome = if self.me == PlaceId::ZERO {
-                self.coordinate(&shared, epoch, &alive, my_slot, total)
-            } else {
-                self.follow(&shared, epoch, my_slot)
-            };
-            shared.done.store(true, Ordering::Release); // belt and braces
-            self.pool.detach(self.job_id);
-            let computed = shared.computed();
-            report.vertices_computed += computed;
-            self.pool
-                .published_base
-                .fetch_add(computed, Ordering::Relaxed);
-
-            match outcome? {
-                JobFlow::Finished => {
-                    let survivors = self.survivors(&alive);
-                    for p in &survivors {
-                        let _ = self.send_ctl(*p, Wire::Stop { epoch });
-                    }
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(epoch, &alive, &mut arr, &mut report);
-                    if lost.is_empty() {
-                        break arr;
-                    }
-                    // A place died between the last vertex and its
-                    // snapshot: recover and re-run.
-                    let restored = self.recover_from(&arr, &lost, &mut report);
-                    self.resume_epoch(epoch, &mut alive, &restored);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                JobFlow::Fault => {
-                    let dead: Vec<PlaceId> = alive
-                        .iter()
-                        .copied()
-                        .filter(|p| !self.node.liveness().is_alive(*p))
-                        .collect();
-                    let dead_u16: Vec<u16> = dead.iter().map(|p| p.0).collect();
-                    for p in self.survivors(&alive) {
-                        let _ = self.send_ctl(
-                            p,
-                            Wire::Abort {
-                                epoch,
-                                dead: dead_u16.clone(),
-                            },
-                        );
-                    }
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(epoch, &alive, &mut arr, &mut report);
-                    let mut all_dead = dead;
-                    all_dead.extend(lost);
-                    all_dead.sort_unstable();
-                    all_dead.dedup();
-                    let restored = self.recover_from(&arr, &all_dead, &mut report);
-                    self.resume_epoch(epoch, &mut alive, &restored);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                JobFlow::Stalled { finished } => {
-                    return Err(EngineError::Stalled { finished, total });
-                }
-                JobFlow::WorkerExit => return Ok(None),
-                JobFlow::Died => return Ok(None),
-                JobFlow::WorkerResume {
-                    alive: new_alive,
-                    cells,
-                } => {
-                    alive = new_alive.into_iter().map(PlaceId).collect();
-                    pending_cells = Some(cells);
-                    prior = None;
-                    epoch += 1;
-                }
-            }
-        };
-
-        if self.me != PlaceId::ZERO {
-            // Worker that left through the all-prefinished short-circuit.
-            return Ok(None);
-        }
-        report.wall_time = started.elapsed();
-        let result = DagResult::new(final_array, report);
-        self.app.app_finished(&result);
-        Ok(Some(result))
-    }
-
-    /// Alive peers of this job other than this place.
-    fn survivors(&self, alive: &[PlaceId]) -> Vec<PlaceId> {
-        alive
-            .iter()
-            .copied()
-            .filter(|p| *p != self.me && self.node.liveness().is_alive(*p))
-            .collect()
-    }
-
-    /// Place 0's per-job mid-epoch loop: fold progress into the finished
-    /// table and decide the epoch's fate. Liveness is consulted only for
-    /// this job's places — the fault-isolation pivot: a death elsewhere
-    /// in the mesh is not this job's problem.
-    fn coordinate(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        alive: &[PlaceId],
-        my_slot: usize,
-        total: u64,
-    ) -> Result<JobFlow<A::Value>, EngineError> {
-        let mut table: Vec<u64> = (0..alive.len())
-            .map(|s| shared.shards[s].finished_local.load(Ordering::Relaxed))
-            .collect();
-        let mut last_sum = u64::MAX;
-        let mut last_change = Instant::now();
-        loop {
-            match self.ctl_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok((src, Wire::Progress { epoch: e, finished })) if e == epoch => {
-                    if let Some(s) = alive.iter().position(|p| *p == src) {
-                        table[s] = table[s].max(finished);
-                    }
-                }
-                Ok(_) | Err(_) => {} // stale traffic / timeout tick
-            }
-            table[my_slot] = shared.shards[my_slot]
-                .finished_local
-                .load(Ordering::Relaxed);
-            let sum: u64 = table.iter().sum();
-
-            let someone_died = alive.iter().any(|p| !self.node.liveness().is_alive(*p));
-            if someone_died || shared.fault.load(Ordering::Acquire) {
-                shared.fault.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::Fault,
-                    u64::from(epoch),
-                );
-                return Ok(JobFlow::Fault);
-            }
-            if sum >= total {
-                shared.done.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::CtlStop,
-                    u64::from(epoch),
-                );
-                return Ok(JobFlow::Finished);
-            }
-
-            if sum != last_sum {
-                last_sum = sum;
-                last_change = Instant::now();
-            } else if last_change.elapsed() > shared.stall_limit {
-                self.recorder
-                    .instant_now(self.me.0, RUNTIME_WORKER, EventKind::Stalled, sum);
-                shared.stalled.store(true, Ordering::Release);
-                shared.done.store(true, Ordering::Release);
-                return Ok(JobFlow::Stalled { finished: sum });
-            }
-        }
-    }
-
-    /// A worker place's per-job mid-epoch loop: stream progress to the
-    /// job's coordinator and obey its wrapped control frames. Unlike the
-    /// single-job engine there is no `Die` arm — planned deaths are
-    /// mesh-level (handled by the demux and the kill watchdog) and show
-    /// up here as the `dying` flag.
-    fn follow(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        my_slot: usize,
-    ) -> Result<JobFlow<A::Value>, EngineError> {
-        let mut last_reported = u64::MAX;
-        let mut last_progress = Instant::now();
-        let mut awaiting_release: Option<Instant> = None;
-        loop {
-            if self.dying.load(Ordering::Acquire) {
-                shared.fault.store(true, Ordering::Release);
-                return Ok(JobFlow::Died);
-            }
-            if !self.node.liveness().is_alive(PlaceId::ZERO) {
-                return Err(EngineError::Socket(
-                    "place 0 was lost; a job cannot continue without its coordinator".into(),
-                ));
-            }
-            if let Some(since) = awaiting_release {
-                if since.elapsed() > SNAPSHOT_DEADLINE {
-                    return Err(EngineError::Socket(
-                        "no release from the coordinator after snapshot".into(),
-                    ));
-                }
-            }
-
-            match self.ctl_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok((_, Wire::Stop { epoch: e })) if e == epoch => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlStop,
-                        u64::from(epoch),
-                    );
-                    shared.done.store(true, Ordering::Release);
-                    self.send_snapshot(shared, epoch, my_slot)?;
-                    awaiting_release = Some(Instant::now());
-                }
-                Ok((_, Wire::Abort { epoch: e, dead })) if e == epoch => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlAbort,
-                        u64::from(epoch),
-                    );
-                    for d in dead {
-                        self.node.liveness().mark_dead(PlaceId(d));
-                    }
-                    shared.fault.store(true, Ordering::Release);
-                    self.send_snapshot(shared, epoch, my_slot)?;
-                    awaiting_release = Some(Instant::now());
-                }
-                Ok((
-                    _,
-                    Wire::Resume {
-                        epoch: e,
-                        alive,
-                        cells,
-                        // The job server broadcasts full-set Resumes;
-                        // the metadata rider is only used by the
-                        // single-job socket engine's scatter.
-                        meta: _,
-                    },
-                )) if e == epoch + 1 => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlResume,
-                        u64::from(epoch + 1),
-                    );
-                    return Ok(JobFlow::WorkerResume { alive, cells });
-                }
-                Ok((_, Wire::Done)) => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDone,
-                        u64::from(epoch),
-                    );
-                    return Ok(JobFlow::WorkerExit);
-                }
-                Ok(_) | Err(_) => {}
-            }
-
-            let finished = shared.shards[my_slot]
-                .finished_local
-                .load(Ordering::Relaxed);
-            if finished != last_reported || last_progress.elapsed() > PROGRESS_INTERVAL {
-                last_reported = finished;
-                last_progress = Instant::now();
-                let _ = self.send_ctl(PlaceId::ZERO, Wire::Progress { epoch, finished });
-            }
-        }
-    }
-
-    /// Sends this place's per-job slot snapshot to the coordinator.
-    /// Counter stats stay empty: the substrate's counters are mesh-level
-    /// and already live in the node's stats board; repeating them per
-    /// job would double-count them.
-    fn send_snapshot(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        my_slot: usize,
-    ) -> Result<(), EngineError> {
-        // Flush-before-snapshot: this job's buffered coalesced traffic
-        // hits the wire (or dies with a dead lane) before the epoch's
-        // cells are reported.
-        shared.transport.flush(self.me);
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let shard = &shared.shards[my_slot];
-        let mut cells = Vec::new();
-        for (li, &(i, j)) in shard.points.iter().enumerate() {
-            if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
-                let v = shard.values[li].get().expect("finished => set").clone();
-                cells.push((VertexId::new(i, j).pack(), v));
-            }
-        }
-        let sent = cells.len() as u64;
-        let result = self
-            .send_ctl(
-                PlaceId::ZERO,
-                Wire::Snapshot {
-                    epoch,
-                    cells,
-                    computed: shared.computed(),
-                    stats: Vec::new(),
-                },
-            )
-            .map_err(|e| EngineError::Socket(format!("snapshot delivery failed: {e}")));
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Snapshot,
-                start,
-                self.recorder.now_ns(),
-                sent,
-            );
-        }
-        result
-    }
-
-    /// Place 0: waits for every live participant's snapshot of this
-    /// job, folding cells into `arr`; peers that never answer are marked
-    /// dead and returned.
-    fn collect_snapshots(
-        &self,
-        epoch: u32,
-        alive: &[PlaceId],
-        arr: &mut DistArray<A::Value>,
-        report: &mut RunReport,
-    ) -> Vec<PlaceId> {
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let mut pending: Vec<PlaceId> = alive.iter().copied().filter(|p| *p != self.me).collect();
-        let mut lost = Vec::new();
-        let deadline = Instant::now() + SNAPSHOT_DEADLINE;
-        loop {
-            pending.retain(|p| {
-                if self.node.liveness().is_alive(*p) {
-                    true
-                } else {
-                    lost.push(*p);
-                    false
-                }
-            });
-            if pending.is_empty() {
-                break;
-            }
-            if Instant::now() > deadline {
-                for p in pending.drain(..) {
-                    self.node.liveness().mark_dead(p);
-                    lost.push(p);
-                }
-                break;
-            }
-            let Ok((src, wire)) = self.ctl_rx.recv_timeout(Duration::from_millis(10)) else {
-                continue;
-            };
-            if let Wire::Snapshot {
-                epoch: e,
-                cells,
-                computed,
-                ..
-            } = wire
-            {
-                if e != epoch {
-                    continue;
-                }
-                let Some(k) = pending.iter().position(|p| *p == src) else {
-                    continue;
+            if lane.epoch.as_ptr() != Arc::as_ptr(&lease.shared) {
+                // A new epoch: fresh shaker substream, fresh idle run.
+                *lane = Lane {
+                    epoch: Arc::downgrade(&lease.shared),
+                    shaker: next_worker(&lease.shared).1,
+                    idle: 0,
                 };
-                pending.swap_remove(k);
-                for (packed, v) in cells {
-                    let id = VertexId::unpack(packed);
-                    arr.set(id.i, id.j, v);
-                }
-                report.vertices_computed += computed;
             }
-        }
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Snapshot,
-                start,
-                self.recorder.now_ns(),
-                lost.len() as u64,
-            );
-        }
-        lost
-    }
-
-    /// Place 0: runs the paper's recovery over this job's snapshot.
-    fn recover_from(
-        &self,
-        snapshot: &DistArray<A::Value>,
-        dead: &[PlaceId],
-        report: &mut RunReport,
-    ) -> DistArray<A::Value> {
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let (restored, rec) = recover(
-            snapshot,
-            dead,
-            self.config.restore_manner,
-            &self.config.topology,
-            &self.config.network,
-            &RecoveryCostModel::default(),
-        );
-        report.recovery_time += rec.sim_time;
-        report.recoveries.push(rec);
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Recovery,
-                start,
-                self.recorder.now_ns(),
-                u64::from(report.epochs),
-            );
-        }
-        restored
-    }
-
-    /// Place 0: prunes this job's `alive` list to the survivors and
-    /// sends each of them the restored state for the next epoch.
-    fn resume_epoch(&self, epoch: u32, alive: &mut Vec<PlaceId>, restored: &DistArray<A::Value>) {
-        alive.retain(|p| self.node.liveness().is_alive(*p));
-        self.recorder.instant_now(
-            self.me.0,
-            RUNTIME_WORKER,
-            EventKind::CtlResume,
-            u64::from(epoch + 1),
-        );
-        let mut cells = Vec::new();
-        let rdist = restored.dist();
-        for s in 0..rdist.num_slots() {
-            for (i, j, v, finished) in restored.iter_slot(s) {
-                if finished {
-                    cells.push((VertexId::new(i, j).pack(), v.clone()));
+            let track = job_track(j, tid);
+            if worker_rounds(
+                &lease.shared,
+                lease.slot,
+                track,
+                &mut bufs,
+                &mut lane.shaker,
+            ) {
+                any = true;
+                lane.idle = 0;
+            } else {
+                lane.idle += 1;
+                if lane.idle == 1 {
+                    // Idle drain of the job's coalescing layer: buffered
+                    // decrements must flow once its local work runs out.
+                    let me = lease.shared.dist.places()[lease.slot];
+                    lease.shared.transport.flush(me);
                 }
             }
         }
-        let alive_u16: Vec<u16> = alive.iter().map(|p| p.0).collect();
-        for p in alive.iter().filter(|p| **p != self.me) {
-            let _ = self.send_ctl(
-                *p,
-                Wire::Resume {
-                    epoch: epoch + 1,
-                    alive: alive_u16.clone(),
-                    cells: cells.clone(),
-                    // Full-set broadcast: every survivor gets every
-                    // cell, so no metadata rider is needed.
-                    meta: Vec::new(),
-                },
-            );
+        if any {
+            idle_sweeps = 0;
+            continue;
+        }
+        idle_sweeps += 1;
+        let n = lanes.len();
+        let Some((j, lease)) = (0..n)
+            .map(|k| (wait_from + k) % n)
+            .find_map(|j| pool.lease(j).map(|l| (j, l)))
+        else {
+            // No live epoch anywhere: nothing to block on.
+            std::thread::sleep(Duration::from_micros(200));
+            continue;
+        };
+        wait_from = j + 1;
+        if idle_wait(
+            &lease.shared,
+            lease.slot,
+            job_track(j, tid),
+            idle_sweeps,
+            &mut bufs,
+        ) {
+            idle_sweeps = 0;
         }
     }
 }
@@ -1398,6 +793,7 @@ impl<A: DpApp + 'static> JobRunner<A> {
 mod tests {
     use super::*;
     use crate::app::DepView;
+    use dpx10_dag::VertexId;
 
     struct Nop;
     impl DpApp for Nop {

@@ -73,7 +73,7 @@ pub use elastic::{
 };
 pub use engine::ThreadedEngine;
 pub use error::EngineError;
-pub use jobs::{JobOutcome, JobServer, JobSpec, ServeKill, ServeReport};
+pub use jobs::{JobOutcome, JobServer, JobSpec, ServeReport};
 pub use schedule::ScheduleStrategy;
 pub use socket_engine::SocketEngine;
 pub use stats::{RunReport, ScheduleDowngrade};

@@ -1,4 +1,4 @@
-//! The multi-process socket engine.
+//! The multi-process socket engine and its epoch protocol.
 //!
 //! Runs the same vertex-execution protocol as [`crate::ThreadedEngine`],
 //! but with one OS process per place connected by the TCP mesh of
@@ -8,16 +8,23 @@
 //! Every process executes [`SocketEngine::run`] with the same
 //! application, pattern and configuration; the mesh handshake assigns
 //! place ids. All processes build the full shard table deterministically
-//! (cheap: it is metadata plus prefinished values), then each place runs
-//! workers only for its own slot and exchanges [`Msg`]s over the wire.
+//! (cheap: it is metadata plus prefinished values), then each place works
+//! only its own slot and exchanges [`Msg`]s over the wire.
+//!
+//! A solo run is a one-job serve: `run` hands its job to the
+//! [`crate::jobs`] serve loop, which owns the mesh, the frame demux and
+//! the shared worker pool, and drives the job with the per-job `Driver`
+//! defined here — the only implementation of the protocol below, used
+//! by solo runs and multi-job serves alike.
 //!
 //! # The control protocol
 //!
 //! Vertex traffic alone cannot terminate a distributed run — no process
 //! sees the global finished counter — so a thin coordination layer rides
-//! on the same connections, multiplexed by [`Wire`] and tagged with an
-//! *epoch* (recovery round) so stragglers from a failed epoch are
-//! discarded:
+//! on the same connections. Every frame of a job travels as
+//! [`Wire::Job`]`(job_id, …)` and carries an *epoch* (recovery round),
+//! so stragglers from a failed epoch are discarded and no job can read
+//! another's traffic:
 //!
 //! * workers fold their slot's finished count with everything their
 //!   subtree reported and stream it up the binomial tree as a `Reduce`
@@ -36,14 +43,20 @@
 //!   that unblocks cross-subtree dependencies without shipping every
 //!   value to every place) — a fresh epoch.
 //!
+//! Planned faults (the job's `FaultPlan` and chaos kills) fire from
+//! place 0 as a bare `Die`: death is a property of the process, not of
+//! one job, so the serve demux crashes the victim and every job on it
+//! detects the loss.
+//!
 //! The tree edges come from [`CollectiveSchedule`] over the epoch's
 //! live roster; a hop whose carrier died is repaired by adopting the
-//! dead child's subtree, and place 0 re-sends the bare frame directly
-//! to any peer it has not heard from (insurance against a relay dying
-//! *after* accepting a hop). `Snapshot` stays a direct gather on
-//! purpose: it is the payload-heavy, loss-sensitive leg, and folding
-//! values through intermediate places would multiply the recovery work
-//! whenever a mid-tree place dies after absorbing its children's cells.
+//! dead child's subtree, and place 0 re-sends the concluding frame
+//! directly to any peer it has not heard from (insurance against a
+//! relay dying *after* accepting a hop). `Snapshot` stays a direct
+//! gather on purpose: it is the payload-heavy, loss-sensitive leg, and
+//! folding values through intermediate places would multiply the
+//! recovery work whenever a mid-tree place dies after absorbing its
+//! children's cells.
 //!
 //! Communication statistics on this backend are the bytes *actually
 //! framed* onto the sockets (vertex and control traffic alike); the
@@ -60,46 +73,31 @@ use dpx10_apgas::{
     fold_counts, ChaosRng, CoalesceConfig, CoalescingTransport, Codec, CollectiveSchedule,
     DeadPlaceError, KillTrigger, LivenessBoard, PlaceId, SocketConfig, SocketNode, Transport,
 };
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
+use dpx10_dag::{DagPattern, VertexId};
 use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
-use dpx10_sync::channel::{unbounded, Receiver, Sender};
+use dpx10_sync::channel::Receiver;
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{worker_loop, Shared};
+use crate::engine::Shared;
 use crate::error::EngineError;
+use crate::jobs::{JobPool, JobResult, JobServer, JobSpec};
 use crate::msg::Msg;
-use crate::schedule::ScheduleStrategy;
 use crate::state::{build_shards, collect_array};
 use crate::stats::{RunReport, ScheduleDowngrade};
 
-/// Applies the socket backend's scheduling restrictions to `config` and
-/// returns a record of what changed (shared with the multi-job server,
-/// whose per-job engines run under the same restriction).
-pub(crate) fn downgrade_schedule(config: &mut EngineConfig) -> Option<ScheduleDowngrade> {
-    if config.schedule == ScheduleStrategy::WorkStealing {
-        config.schedule = ScheduleStrategy::Local;
-        return Some(ScheduleDowngrade {
-            requested: ScheduleStrategy::WorkStealing,
-            effective: ScheduleStrategy::Local,
-            reason: "work stealing needs shared-memory ready lists, \
-                     which do not exist across socket places",
-        });
-    }
-    None
-}
-
 /// How long place 0 waits for a survivor's snapshot before writing the
-/// place off as dead (generous: the transport's own heartbeat timeout
-/// fires much earlier for real failures).
-const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
+/// place off as dead, and how long a worker waits for its release
+/// (generous: the transport's own heartbeat timeout fires much earlier
+/// for real failures).
+pub(crate) const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// How often a worker place re-sends its progress even when the count has
 /// not moved (keeps the coordinator's view fresh without flooding).
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(50);
 
-/// How often place 0 re-sends the bare concluding `Stop`/`Abort` frame
+/// How often place 0 re-sends the concluding `Stop`/`Abort` frame
 /// directly to peers whose snapshot has not arrived — insurance for a
 /// broadcast relay dying after accepting its hop (receivers ignore the
 /// duplicates).
@@ -110,21 +108,19 @@ const CONCLUDE_RESEND: Duration = Duration::from_millis(500);
 /// scatter relay dying with its subtree's hop in hand.
 const RESUME_RESEND: Duration = Duration::from_millis(250);
 
-/// Everything that crosses a socket during a run: vertex traffic
-/// ([`Wire::App`]) and the control protocol, all epoch-tagged.
+/// The codec tag of [`Wire::Job`].
+const JOB_TAG: u8 = 8;
+
+/// Everything that crosses a socket: vertex traffic ([`Wire::App`]) and
+/// the control protocol, all epoch-tagged and wrapped per job in
+/// [`Wire::Job`]. Only the mesh-level `Die` and `Done` travel bare.
 ///
-/// `pub(crate)` because the multi-job server ([`crate::jobs`]) speaks
-/// the same protocol, namespaced per job by the [`Wire::Job`] wrapper.
+/// Tag 1 is unassigned: it was a direct progress report, superseded by
+/// the tree-reduced [`Wire::Reduce`].
+#[derive(Clone)]
 pub(crate) enum Wire<V> {
     /// A vertex-protocol message of the given epoch.
     App(u32, Msg<V>),
-    /// Worker → place 0: my slot has `finished` vertices done.
-    Progress {
-        /// Epoch the count belongs to.
-        epoch: u32,
-        /// Finished vertices of the sender's slot (monotone).
-        finished: u64,
-    },
     /// Place 0 → workers: every vertex is finished; snapshot your slot.
     Stop {
         /// Epoch being concluded.
@@ -148,8 +144,9 @@ pub(crate) enum Wire<V> {
         /// Cumulative place counters: `[tasks, msgs, bytes, net_ns,
         /// cache_hits, cache_misses, busy_ns, batches_sent,
         /// batched_msgs, pulls_sent, pulls_deduped, pushes_sent,
-        /// pull_roundtrips_avoided]`. Decoders accept any shorter
-        /// prefix (older peers) and leave the missing tail at zero.
+        /// pull_roundtrips_avoided]`. Every counter but `busy_ns` is
+        /// mesh-level, shared by all jobs on the place. Decoders accept
+        /// any shorter prefix and leave the missing tail at zero.
         stats: Vec<u64>,
     },
     /// Place 0 → survivors (scattered down the tree): recovery done,
@@ -170,16 +167,15 @@ pub(crate) enum Wire<V> {
         /// (legacy frames), meaning `cells` is the full set.
         meta: Vec<u64>,
     },
-    /// Place 0 → a worker: abort the process immediately (planned fault
-    /// injection — dies without a goodbye so peers *detect* the death).
+    /// Place 0 → a worker, bare: abort the process immediately (planned
+    /// fault injection — dies without a goodbye so peers *detect* the
+    /// death).
     Die,
-    /// Place 0 → workers: the run is over, exit cleanly.
+    /// Place 0 → workers: bare, the serve is over and the process may
+    /// leave the mesh; job-wrapped, that job is over on this place.
     Done,
-    /// A frame belonging to one job of a multi-job serve: the `job_id`
-    /// namespace joins the epoch already carried by the inner frame.
-    /// Decode is tolerant in both directions: old single-job peers never
-    /// emit tag 8 and ignore nothing, while a serve demux treats a bare
-    /// (unwrapped) legacy frame as belonging to job 0.
+    /// A frame belonging to one job: the `job_id` namespace joins the
+    /// epoch already carried by the inner frame.
     Job(u32, Box<Wire<V>>),
     /// One hop of a tree broadcast ([`CollectiveSchedule`]): the
     /// receiver handles the inner frame as if it had arrived directly,
@@ -206,11 +202,6 @@ impl<V: Codec> Codec for Wire<V> {
                 buf.push(0);
                 epoch.encode(buf);
                 msg.encode(buf);
-            }
-            Wire::Progress { epoch, finished } => {
-                buf.push(1);
-                epoch.encode(buf);
-                finished.encode(buf);
             }
             Wire::Stop { epoch } => {
                 buf.push(2);
@@ -248,7 +239,7 @@ impl<V: Codec> Codec for Wire<V> {
             Wire::Die => buf.push(6),
             Wire::Done => buf.push(7),
             Wire::Job(job, inner) => {
-                buf.push(8);
+                buf.push(JOB_TAG);
                 job.encode(buf);
                 inner.encode(buf);
             }
@@ -267,10 +258,6 @@ impl<V: Codec> Codec for Wire<V> {
     fn decode(src: &mut &[u8]) -> Option<Self> {
         match u8::decode(src)? {
             0 => Some(Wire::App(u32::decode(src)?, Msg::decode(src)?)),
-            1 => Some(Wire::Progress {
-                epoch: u32::decode(src)?,
-                finished: u64::decode(src)?,
-            }),
             2 => Some(Wire::Stop {
                 epoch: u32::decode(src)?,
             }),
@@ -298,7 +285,7 @@ impl<V: Codec> Codec for Wire<V> {
             }),
             6 => Some(Wire::Die),
             7 => Some(Wire::Done),
-            8 => Some(Wire::Job(u32::decode(src)?, Box::new(Wire::decode(src)?))),
+            JOB_TAG => Some(Wire::Job(u32::decode(src)?, Box::new(Wire::decode(src)?))),
             9 => Some(Wire::Bcast(Box::new(Wire::decode(src)?))),
             10 => Some(Wire::Reduce {
                 epoch: u32::decode(src)?,
@@ -311,7 +298,6 @@ impl<V: Codec> Codec for Wire<V> {
     fn wire_size(&self) -> usize {
         1 + match self {
             Wire::App(epoch, msg) => epoch.wire_size() + Codec::wire_size(msg),
-            Wire::Progress { epoch, finished } => epoch.wire_size() + finished.wire_size(),
             Wire::Stop { epoch } => epoch.wire_size(),
             Wire::Abort { epoch, dead } => epoch.wire_size() + dead.wire_size(),
             Wire::Snapshot {
@@ -334,8 +320,28 @@ impl<V: Codec> Codec for Wire<V> {
     }
 }
 
-/// The vertex-traffic half of the demultiplexed socket: implements
-/// [`Transport`] for the worker loop, filtering out messages from *past*
+/// Encodes `Wire::Job(job, wire)` without boxing (or cloning) `wire`.
+fn encode_job<V: Codec>(job: u32, wire: &Wire<V>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + job.wire_size() + wire.wire_size());
+    buf.push(JOB_TAG);
+    job.encode(&mut buf);
+    wire.encode(&mut buf);
+    buf
+}
+
+/// Decodes one mesh frame into its job id and unboxed inner frame;
+/// `None` as the id marks a bare (mesh-level) frame.
+pub(crate) fn decode_frame<V: Codec>(bytes: &[u8]) -> Option<(Option<u32>, Wire<V>)> {
+    let Some((&JOB_TAG, mut src)) = bytes.split_first() else {
+        return decode_exact(bytes).map(|wire| (None, wire));
+    };
+    let job = u32::decode(&mut src)?;
+    let wire = decode_exact(src)?;
+    Some((Some(job), wire))
+}
+
+/// The vertex-traffic half of one job's demultiplexed socket: implements
+/// [`Transport`] for the worker pool, filtering out messages from *past*
 /// epochs at consumption time (so a message that raced past an epoch
 /// change in the demux thread is still discarded). Messages from a
 /// *future* epoch are parked, not dropped: after a recovery the places
@@ -348,21 +354,19 @@ pub(crate) struct AppPlane<V> {
     app_rx: Receiver<(u32, Envelope<Msg<V>>)>,
     early: dpx10_sync::Mutex<Vec<(u32, Envelope<Msg<V>>)>>,
     liveness: LivenessBoard,
-    /// `Some(job_id)` when this plane carries one job of a multi-job
-    /// serve: outbound frames get wrapped in [`Wire::Job`] so the remote
-    /// demux can route them to the right job's channels. `None` is the
-    /// classic single-job engine (bare frames, fully wire-compatible
-    /// with pre-job peers).
-    job: Option<u32>,
+    /// The job whose frames this plane carries: outbound frames are
+    /// wrapped in [`Wire::Job`] so the remote demux routes them to the
+    /// right job's channels.
+    job: u32,
 }
 
 impl<V: VertexValue> AppPlane<V> {
-    /// Builds the plane over `node`, consuming the demux's app frames
-    /// from `app_rx`. `job` namespaces outbound frames (see the field).
+    /// Builds job `job`'s plane over `node`, consuming the demux's app
+    /// frames from `app_rx`.
     pub(crate) fn new(
         node: Arc<SocketNode>,
         app_rx: Receiver<(u32, Envelope<Msg<V>>)>,
-        job: Option<u32>,
+        job: u32,
     ) -> Self {
         AppPlane {
             liveness: node.liveness().clone(),
@@ -372,12 +376,6 @@ impl<V: VertexValue> AppPlane<V> {
             early: dpx10_sync::Mutex::new(Vec::new()),
             job,
         }
-    }
-
-    /// Advances the plane to `epoch` (done between epochs, with the
-    /// workers quiesced).
-    pub(crate) fn set_epoch(&self, epoch: u32) {
-        self.epoch.store(epoch, Ordering::Release);
     }
 
     /// Classifies one demuxed frame against `current`: deliver, park for
@@ -422,11 +420,9 @@ impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
     ) -> Result<(), DeadPlaceError> {
         debug_assert_eq!(src, self.node.me(), "socket places only send as themselves");
         let wire = Wire::App(self.epoch.load(Ordering::Acquire), msg);
-        let bytes = match self.job {
-            Some(job) => encode_to_vec(&Wire::Job(job, Box::new(wire))),
-            None => encode_to_vec(&wire),
-        };
-        self.node.send_bytes(dst, bytes).map(|_| ())
+        self.node
+            .send_bytes(dst, encode_job(self.job, &wire))
+            .map(|_| ())
     }
 
     fn try_recv(&self, _at: PlaceId) -> Option<Envelope<Msg<V>>> {
@@ -466,46 +462,20 @@ impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
     }
 }
 
-/// Reads raw frames off the mesh and splits them: vertex traffic to the
-/// [`AppPlane`]'s channel, control messages to the control channel. A
-/// payload that fails to decode marks its sender dead — same policy as
-/// the typed transport.
-fn demux_loop<V: VertexValue>(
-    node: Arc<SocketNode>,
-    app_tx: Sender<(u32, Envelope<Msg<V>>)>,
-    ctl_tx: Sender<(PlaceId, Wire<V>)>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::Acquire) {
-        let Some((src, bytes)) = node.recv_bytes_timeout(Duration::from_millis(5)) else {
-            continue;
-        };
-        match decode_exact::<Wire<V>>(&bytes) {
-            Some(Wire::App(epoch, msg)) => {
-                let _ = app_tx.send((epoch, Envelope { src, msg }));
-            }
-            Some(wire) => {
-                let _ = ctl_tx.send((src, wire));
-            }
-            None => {
-                node.liveness().mark_dead(src);
-            }
-        }
-    }
-}
-
 /// What a control loop decided the epoch's fate is.
 enum Flow<V> {
-    /// Place 0: every vertex finished.
-    Finished,
+    /// Place 0: every vertex finished. `reported` is, per slot, the
+    /// vertices the slot reported finishing this epoch.
+    Finished { reported: Vec<u64> },
     /// Place 0: a place died (or a planned fault fired); recover.
-    Fault,
+    /// `reported` as in `Finished`.
+    Fault { reported: Vec<u64> },
     /// Place 0: global progress froze.
     Stalled {
         /// Vertices finished when the watchdog gave up.
         finished: u64,
     },
-    /// Worker: the run is over.
+    /// Worker: the job is over.
     WorkerExit,
     /// Worker: recovery finished, start the next epoch.
     WorkerResume {
@@ -514,12 +484,11 @@ enum Flow<V> {
         /// The restored finished cells scattered to this place's
         /// subtree (already relayed onwards before this flow returned).
         cells: Vec<(u64, V)>,
-        /// Packed ids of every restored finished cell (empty on a
-        /// legacy full-broadcast frame).
+        /// Packed ids of every restored finished cell.
         meta: Vec<u64>,
     },
-    /// Worker: a planned `Die` arrived in soft-die mode; the node has
-    /// already crashed its sockets.
+    /// Worker: a planned `Die` crashed this place (soft-die mode; a
+    /// hard die never returns).
     Died,
 }
 
@@ -549,7 +518,6 @@ pub struct SocketEngine<A: DpApp> {
     init: Option<InitOverride<A::Value>>,
     soft_die: bool,
     recorder: Recorder,
-    downgrade: Option<ScheduleDowngrade>,
 }
 
 impl<A: DpApp + 'static> SocketEngine<A> {
@@ -559,11 +527,9 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     /// from another slot's ready list through shared memory, which only
     /// exists inside one process. The swap is recorded in the run
     /// report's [`RunReport::schedule_downgrade`] rather than applied
-    /// silently.
-    pub fn new(app: A, pattern: impl DagPattern + 'static, mut config: EngineConfig) -> Self {
-        let downgrade = downgrade_schedule(&mut config);
-        // Checkpoint writers assume one process owns all places' files.
-        config.checkpoint = None;
+    /// silently. Checkpointing is off: its writers assume one process
+    /// owns every place's files.
+    pub fn new(app: A, pattern: impl DagPattern + 'static, config: EngineConfig) -> Self {
         SocketEngine {
             app: Arc::new(app),
             pattern: Arc::new(pattern),
@@ -571,7 +537,6 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             init: None,
             soft_die: false,
             recorder: Recorder::disabled(),
-            downgrade,
         }
     }
 
@@ -599,17 +564,13 @@ impl<A: DpApp + 'static> SocketEngine<A> {
         self
     }
 
-    /// Joins the mesh as `socket` describes and runs the computation.
+    /// Joins the mesh as `socket` describes and runs the computation as
+    /// a one-job serve.
     ///
     /// Returns `Ok(Some(result))` on place 0 and `Ok(None)` on every
     /// other place (the result lives with the coordinator; workers just
-    /// exit).
+    /// exit). A worker that loses its coordinator returns `Err`.
     pub fn run(&self, socket: SocketConfig) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        let total = self.pattern.vertex_count();
-        if self.config.validate_pattern && total <= self.config.validate_limit {
-            validate_pattern(self.pattern.as_ref())?;
-        }
-
         // `DPX10_SOCKET_TRACE=1` is an alias for "record and echo every
         // event to stderr" — the recorder's echo subscriber replaces the
         // old ad-hoc eprintln tracing.
@@ -621,115 +582,95 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             }
             recorder.set_echo(true);
         }
-        let mut socket = socket;
-        if !socket.recorder.enabled() {
-            socket.recorder = recorder.clone();
+        let mut server = JobServer::new().with_recorder(recorder);
+        if self.soft_die {
+            server = server.with_soft_die();
         }
-
-        let node = Arc::new(
-            SocketNode::connect(socket)
-                .map_err(|e| EngineError::Socket(format!("mesh formation failed: {e}")))?,
-        );
-        let me = node.me();
-        let places = node.places();
-        if self.config.topology.num_places() != places {
-            return Err(EngineError::Socket(format!(
-                "topology has {} places but the mesh has {places}",
-                self.config.topology.num_places()
-            )));
-        }
-        for victim in self.config.fault.iter().map(|p| p.place).chain(
-            self.config
-                .chaos
-                .iter()
-                .flat_map(|p| p.kills.iter().map(|k| k.place)),
-        ) {
-            if victim == PlaceId::ZERO || victim.index() >= places as usize {
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{victim} is not a killable place"
-                )));
-            }
-        }
-
-        let (app_tx, app_rx) = unbounded();
-        let (ctl_tx, ctl_rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let demux = {
-            let node = node.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name(format!("dpx10-demux{}", me.index()))
-                .spawn(move || demux_loop(node, app_tx, ctl_tx, stop))
-                .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
-        };
-        let plane = Arc::new(AppPlane::new(node.clone(), app_rx, None));
-
-        let driver = Driver {
-            engine: self,
-            node: node.clone(),
-            plane,
-            ctl_rx,
-            me,
-            places,
-            recorder,
-        };
-        let result = driver.drive(total);
-
-        // Whatever happened — success, stall, error — release the
-        // workers before the goodbye, or a coordinator error would
-        // strand them waiting on a control message that never comes.
-        if me == PlaceId::ZERO {
-            // Release live members only; drained slots have no outbox.
-            for p in node.roster().members() {
-                if p != me {
-                    let _ = node.send_bytes(p, encode_to_vec(&Wire::<A::Value>::Done));
-                }
-            }
-        }
-        stop.store(true, Ordering::Release);
-        node.shutdown();
-        let _ = demux.join();
-        result
+        server.submit(JobSpec {
+            name: "solo".into(),
+            app: self.app.clone(),
+            pattern: self.pattern.clone(),
+            config: self.config.clone(),
+            priority: 0,
+            places: None,
+            init: self.init.clone(),
+        })?;
+        let mut served = server.serve_all(socket)?;
+        served.results.swap_remove(0).unwrap_or(Ok(None))
     }
 }
 
-/// Per-run state shared by the epoch loop and the control loops.
-struct Driver<'a, A: DpApp> {
-    engine: &'a SocketEngine<A>,
-    node: Arc<SocketNode>,
-    plane: Arc<AppPlane<A::Value>>,
-    ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
-    me: PlaceId,
-    places: u16,
-    recorder: Recorder,
+/// Drives one job on one place: the epoch loop of the protocol in the
+/// module docs. The serve loop builds one per admitted job; the job's
+/// compute runs on the place's shared [`JobPool`].
+pub(crate) struct Driver<A: DpApp> {
+    pub(crate) job_id: u32,
+    pub(crate) app: Arc<A>,
+    pub(crate) pattern: Arc<dyn DagPattern>,
+    pub(crate) config: EngineConfig,
+    pub(crate) init: Option<InitOverride<A::Value>>,
+    pub(crate) downgrade: Option<ScheduleDowngrade>,
+    /// The job's places, sorted; the first epoch's roster.
+    pub(crate) placement: Vec<PlaceId>,
+    pub(crate) node: Arc<SocketNode>,
+    pub(crate) plane: Arc<AppPlane<A::Value>>,
+    pub(crate) ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
+    pub(crate) pool: Arc<JobPool<A>>,
+    /// Set by the serve demux once a planned `Die` crashed this place.
+    pub(crate) dying: Arc<AtomicBool>,
+    pub(crate) recorder: Recorder,
 }
 
-impl<A: DpApp + 'static> Driver<'_, A> {
+impl<A: DpApp + 'static> Driver<A> {
+    fn me(&self) -> PlaceId {
+        self.node.me()
+    }
+
+    /// Sends a control frame in this job's namespace.
     fn send_ctl(&self, dst: PlaceId, wire: &Wire<A::Value>) -> Result<(), DeadPlaceError> {
-        self.node.send_bytes(dst, encode_to_vec(wire)).map(|_| ())
+        self.node
+            .send_bytes(dst, encode_job(self.job_id, wire))
+            .map(|_| ())
     }
 
-    fn drive(&self, total: u64) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        let cfg = &self.engine.config;
-        let pattern = &self.engine.pattern;
+    /// Place 0: releases this job's surviving workers, whatever the
+    /// outcome was — a coordinator error must not strand them waiting
+    /// on a control message that never comes.
+    pub(crate) fn release(&self) {
+        if self.me() != PlaceId::ZERO {
+            return;
+        }
+        for p in &self.placement {
+            if *p != self.me() && self.node.liveness().is_alive(*p) {
+                let _ = self.send_ctl(*p, &Wire::Done);
+            }
+        }
+    }
+
+    /// Runs the job to completion on this place: `Ok(Some)` on place 0,
+    /// `Ok(None)` on the other places.
+    pub(crate) fn run(&self) -> JobResult<A::Value> {
+        if self.dying.load(Ordering::Acquire) {
+            return Ok(None);
+        }
+        let me = self.me();
+        let cfg = &self.config;
+        let pattern = &self.pattern;
+        let total = pattern.vertex_count();
         let region = Region2D::new(pattern.height(), pattern.width());
         let started = Instant::now();
         let mut report = RunReport {
             vertices_total: total,
-            schedule_downgrade: self.engine.downgrade.clone(),
+            schedule_downgrade: self.downgrade.clone(),
             ..RunReport::default()
         };
-        // Seed the epoch roster from the mesh's *live membership*, not
-        // `0..places`: on an elastic mesh the slot space has holes where
-        // places drained out, and pinning them back in would make the
-        // snapshot collector wait on peers that will never answer.
-        let mut alive: Vec<PlaceId> = self.node.roster().members();
+        let mut alive: Vec<PlaceId> = self.placement.clone();
         let mut prior: Option<DistArray<A::Value>> = None;
         // A `Resume` scatter's restored cells + finished-set metadata,
         // parked until the next epoch's restore step consumes them.
         #[allow(clippy::type_complexity)]
         let mut pending_cells: Option<(Vec<(u64, A::Value)>, Vec<u64>)> = None;
-        let mut peer_stats: Vec<[u64; 13]> = vec![[0; 13]; self.places as usize];
+        let mut peer_stats: Vec<[u64; 13]> = vec![[0; 13]; self.node.places() as usize];
         // Place 0's record of the last `Resume` scatter, kept so the
         // next epoch's coordinator loop can re-send a survivor's bundle
         // if a relay hop died with its carrier.
@@ -762,18 +703,18 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     scatter_meta = Some(meta.into_iter().collect());
                 }
             }
-            let Some(my_slot) = alive.iter().position(|p| *p == self.me) else {
+            let Some(my_slot) = alive.iter().position(|p| *p == me) else {
                 // The coordinator counted us among the dead (e.g. a
                 // false-positive timeout); nothing left to contribute.
                 return Ok(None);
             };
-            let agg = crate::engine::agg_mode(cfg, self.engine.app.as_ref(), pattern.as_ref());
+            let agg = crate::engine::agg_mode(cfg, self.app.as_ref(), pattern.as_ref());
             let (shards, prefinished) = build_shards(
                 pattern.as_ref(),
                 &dist,
                 prior.as_ref(),
                 scatter_meta.as_ref(),
-                self.engine.init.as_ref(),
+                self.init.as_ref(),
                 cfg.cache_capacity,
                 agg,
             );
@@ -782,16 +723,16 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 // holds (its own subtree after a Resume scatter).
                 // Meta-only finished cells stay gaps; the ranged execute
                 // path pulls them from their owner on demand.
-                crate::engine::seed_aggs(self.engine.app.as_ref(), &shards);
+                crate::engine::seed_aggs(self.app.as_ref(), &shards);
             }
             self.recorder.instant_now(
-                self.me.0,
+                me.0,
                 RUNTIME_WORKER,
                 EventKind::EpochStart,
                 u64::from(epoch),
             );
             if prefinished == total {
-                if self.me != PlaceId::ZERO {
+                if me != PlaceId::ZERO {
                     // A scattered prior covers this place's subtree
                     // only, so its shards may hold finished flags
                     // without values — only place 0, which keeps the
@@ -802,7 +743,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             }
 
             let shared = Arc::new(Shared {
-                app: self.engine.app.clone(),
+                app: self.app.clone(),
                 stall_limit: cfg.stall_limit,
                 pattern: pattern.clone(),
                 dist: dist.clone(),
@@ -810,10 +751,11 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 transport: {
                     let base = self.plane.clone() as Arc<dyn Transport<Msg<A::Value>>>;
                     match cfg.coalesce {
-                        // A fresh wrapper each epoch: buffered traffic of
-                        // an abandoned epoch dies with it, and flushes
-                        // always carry the current epoch tag (workers are
-                        // joined before `plane.epoch` advances).
+                        // A fresh per-job wrapper each epoch: coalescing
+                        // lanes are keyed by job for free, buffered
+                        // traffic of an abandoned epoch dies with it, and
+                        // flushes always carry the current epoch tag (the
+                        // pool is detached before `plane.epoch` advances).
                         Some(bytes) => Arc::new(CoalescingTransport::new(
                             base,
                             CoalesceConfig::bytes(bytes),
@@ -842,7 +784,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 // place derives its own substream so its workers don't
                 // mirror another place's decisions.
                 shake: cfg.chaos.as_ref().filter(|p| p.shake).map(|p| {
-                    let mut rng = ChaosRng::new(p.seed).fork(u64::from(self.me.0));
+                    let mut rng = ChaosRng::new(p.seed).fork(u64::from(me.0));
                     rng.next_u64()
                 }),
                 worker_seq: AtomicU64::new(0),
@@ -850,18 +792,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 recorder: self.recorder.clone(),
                 agg,
             });
+            self.pool.attach(self.job_id, shared.clone(), my_slot);
 
-            let mut handles = Vec::new();
-            for t in 0..cfg.topology.threads_per_place {
-                let sh = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("dpx10-p{}w{t}", self.me.index()))
-                    .spawn(move || worker_loop(sh, my_slot))
-                    .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
-                handles.push(handle);
-            }
-
-            let outcome = if self.me == PlaceId::ZERO {
+            let outcome = if me == PlaceId::ZERO {
                 self.coordinate(
                     &shared,
                     epoch,
@@ -876,74 +809,24 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 self.follow(&shared, epoch, &alive, my_slot, busy_total)
             };
             shared.done.store(true, Ordering::Release); // belt and braces
-            for h in handles {
-                let _ = h.join();
-            }
+            self.pool.detach(self.job_id);
             report.vertices_computed += shared.computed();
             busy_total += shared.shards[my_slot].busy_ns.load(Ordering::Relaxed);
 
-            match outcome? {
-                Flow::Finished => {
-                    self.bcast_ctl(&alive, Wire::Stop { epoch });
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(
-                        epoch,
-                        &alive,
-                        &Wire::Stop { epoch },
-                        &mut arr,
-                        &mut peer_stats,
-                        &mut report,
-                    );
-                    if lost.is_empty() {
-                        break arr;
-                    }
-                    // A place died between the last vertex and its
-                    // snapshot: its values are gone, recover and re-run.
-                    let restored = self.recover_from(&arr, &lost, &mut report);
-                    resume = Some(self.resume_epoch(epoch, &mut alive, &restored)?);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                Flow::Fault => {
-                    let dead: Vec<PlaceId> = alive
+            let (conclude, reported) = match outcome? {
+                Flow::Finished { reported } => (Wire::Stop { epoch }, reported),
+                Flow::Fault { reported } => {
+                    let dead: Vec<u16> = alive
                         .iter()
-                        .copied()
-                        .filter(|p| !self.node.liveness().is_alive(*p))
+                        .filter(|p| !self.node.liveness().is_alive(**p))
+                        .map(|p| p.0)
                         .collect();
-                    let dead_u16: Vec<u16> = dead.iter().map(|p| p.0).collect();
-                    self.bcast_ctl(
-                        &alive,
-                        Wire::Abort {
-                            epoch,
-                            dead: dead_u16.clone(),
-                        },
-                    );
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(
-                        epoch,
-                        &alive,
-                        &Wire::Abort {
-                            epoch,
-                            dead: dead_u16,
-                        },
-                        &mut arr,
-                        &mut peer_stats,
-                        &mut report,
-                    );
-                    let mut all_dead = dead;
-                    all_dead.extend(lost);
-                    all_dead.sort_unstable();
-                    all_dead.dedup();
-                    let restored = self.recover_from(&arr, &all_dead, &mut report);
-                    resume = Some(self.resume_epoch(epoch, &mut alive, &restored)?);
-                    prior = Some(restored);
-                    epoch += 1;
+                    (Wire::Abort { epoch, dead }, reported)
                 }
                 Flow::Stalled { finished } => {
                     return Err(EngineError::Stalled { finished, total });
                 }
-                Flow::WorkerExit => return Ok(None),
-                Flow::Died => return Ok(None),
+                Flow::WorkerExit | Flow::Died => return Ok(None),
                 Flow::WorkerResume {
                     alive: new_alive,
                     cells,
@@ -953,11 +836,45 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     pending_cells = Some((cells, meta));
                     prior = None; // rebuilt from `pending_cells` above
                     epoch += 1;
+                    continue;
                 }
+            };
+            // Place 0 concludes the epoch: release the workers into their
+            // snapshots, gather them, and either finish or recover.
+            self.bcast_ctl(&alive, &conclude);
+            let mut arr = collect_array(&shared.shards, &dist);
+            let lost = self.collect_snapshots(
+                epoch,
+                &alive,
+                &conclude,
+                &mut arr,
+                &mut peer_stats,
+                &mut report,
+            );
+            let (mut dead, finished): (Vec<PlaceId>, bool) = match conclude {
+                Wire::Abort { dead, .. } => (dead.into_iter().map(PlaceId).collect(), false),
+                _ => (Vec::new(), true),
+            };
+            dead.extend(lost);
+            if dead.is_empty() && finished {
+                break arr;
             }
+            // A place died — mid-epoch, or between the last vertex and
+            // its snapshot: its values are gone, recover and re-run.
+            dead.sort_unstable();
+            dead.dedup();
+            let unreported: u64 = dead
+                .iter()
+                .filter_map(|d| alive.iter().position(|p| p == d))
+                .map(|s| reported[s])
+                .sum();
+            let restored = self.recover_from(&arr, &dead, unreported, &mut report);
+            resume = Some(self.resume_epoch(epoch, &mut alive, &restored));
+            prior = Some(restored);
+            epoch += 1;
         };
 
-        if self.me != PlaceId::ZERO {
+        if me != PlaceId::ZERO {
             // Worker that left through the all-prefinished short-circuit.
             return Ok(None);
         }
@@ -985,7 +902,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         report.place_busy = alive
             .iter()
             .map(|p| {
-                if *p == self.me {
+                if *p == me {
                     Duration::from_nanos(busy_total)
                 } else {
                     Duration::from_nanos(peer_stats[p.index()][6])
@@ -993,7 +910,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             })
             .collect();
         let result = DagResult::new(final_array, report);
-        self.engine.app.app_finished(&result);
+        self.app.app_finished(&result);
         Ok(Some(result))
     }
 
@@ -1020,9 +937,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
 
     /// Place 0: launches a tree broadcast of `frame` — one [`Wire::Bcast`]
     /// hop per schedule child; the receivers relay onwards.
-    fn bcast_ctl(&self, alive: &[PlaceId], frame: Wire<A::Value>) {
+    fn bcast_ctl(&self, alive: &[PlaceId], frame: &Wire<A::Value>) {
         let me_rank = self.schedule(alive).root();
-        self.relay_hops(alive, me_rank, &Wire::Bcast(Box::new(frame)));
+        self.relay_hops(alive, me_rank, &Wire::Bcast(Box::new(frame.clone())));
     }
 
     /// Sends the `Resume` scatter hops from `me_rank` in the new
@@ -1043,8 +960,8 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         if sched.children(me_rank).is_empty() {
             return;
         }
-        let region = Region2D::new(self.engine.pattern.height(), self.engine.pattern.width());
-        let ndist = Dist::new(region, self.engine.config.dist_kind.clone(), alive.to_vec());
+        let region = Region2D::new(self.pattern.height(), self.pattern.width());
+        let ndist = Dist::new(region, self.config.dist_kind.clone(), alive.to_vec());
         let mut by_rank: Vec<Vec<(u64, A::Value)>> = vec![Vec::new(); alive.len()];
         for (packed, v) in cells {
             let id = VertexId::unpack(*packed);
@@ -1078,8 +995,8 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         let places: Vec<PlaceId> = st.alive.iter().copied().map(PlaceId).collect();
         let sched = self.schedule(&places);
         let sub = sched.subtree(rank);
-        let region = Region2D::new(self.engine.pattern.height(), self.engine.pattern.width());
-        let ndist = Dist::new(region, self.engine.config.dist_kind.clone(), places);
+        let region = Region2D::new(self.pattern.height(), self.pattern.width());
+        let ndist = Dist::new(region, self.config.dist_kind.clone(), places);
         let cells = st
             .cells
             .iter()
@@ -1095,6 +1012,25 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             cells,
             meta: st.meta.clone(),
         }
+    }
+
+    /// Place 0: fires a planned kill once per victim. `Die` travels
+    /// bare — death is mesh-level, so the victim's serve demux crashes
+    /// the whole place and every job on it detects the loss.
+    fn fire_kill(&self, victim: PlaceId, kills_fired: &mut Vec<PlaceId>) {
+        if kills_fired.contains(&victim) || !self.node.liveness().is_alive(victim) {
+            return;
+        }
+        kills_fired.push(victim);
+        self.recorder.instant_now(
+            self.me().0,
+            RUNTIME_WORKER,
+            EventKind::CtlDie,
+            u64::from(victim.0),
+        );
+        let _ = self
+            .node
+            .send_bytes(victim, encode_to_vec(&Wire::<A::Value>::Die));
     }
 
     /// Place 0's mid-epoch loop: fold the tree-reduced progress reports
@@ -1115,14 +1051,19 @@ impl<A: DpApp + 'static> Driver<'_, A> {
     ) -> Result<Flow<A::Value>, EngineError> {
         // Seeded from our own deterministic copy of every shard, so the
         // table starts at each slot's prefinished count.
-        let mut table: Vec<u64> = (0..alive.len())
+        let start: Vec<u64> = (0..alive.len())
             .map(|s| shared.shards[s].finished_local.load(Ordering::Relaxed))
             .collect();
+        let mut table = start.clone();
+        // Per slot, what it reported finishing this epoch: a dead slot's
+        // share is lost with its memory, since it never snapshots.
+        let reported =
+            |table: &[u64]| -> Vec<u64> { table.iter().zip(&start).map(|(t, s)| t - s).collect() };
         // Every planned kill, as (victim, progress threshold) or
-        // (victim, wall-clock delay): the legacy single fault plus the
+        // (victim, wall-clock delay): the job's `FaultPlan` plus its
         // chaos plan's kills. All fire as `Wire::Die` to the victim.
         let to_threshold = |frac: f64| ((frac * total as f64).ceil() as u64).clamp(1, total);
-        let cfg = &self.engine.config;
+        let cfg = &self.config;
         let mut progress_kills: Vec<(PlaceId, u64)> = cfg
             .fault
             .iter()
@@ -1147,13 +1088,6 @@ impl<A: DpApp + 'static> Driver<'_, A> {
 
         loop {
             match self.ctl_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok((src, Wire::Progress { epoch: e, finished })) if e == epoch => {
-                    // Legacy direct form; current peers send `Reduce`.
-                    if let Some(s) = alive.iter().position(|p| *p == src) {
-                        table[s] = table[s].max(finished);
-                        heard[s] = true;
-                    }
-                }
                 Ok((src, Wire::Reduce { epoch: e, counts })) if e == epoch => {
                     if let Some(s) = alive.iter().position(|p| *p == src) {
                         heard[s] = true;
@@ -1171,7 +1105,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 if Instant::now() >= next_nudge {
                     next_nudge = Instant::now() + RESUME_RESEND;
                     for (s, p) in alive.iter().enumerate() {
-                        if !heard[s] && *p != self.me && self.node.liveness().is_alive(*p) {
+                        if !heard[s] && *p != self.me() && self.node.liveness().is_alive(*p) {
                             let _ = self.send_ctl(*p, &self.resume_frame_for(st, s));
                         }
                     }
@@ -1183,33 +1117,13 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             let sum: u64 = table.iter().sum();
 
             for &(victim, threshold) in &progress_kills {
-                if sum >= threshold
-                    && !kills_fired.contains(&victim)
-                    && self.node.liveness().is_alive(victim)
-                {
-                    kills_fired.push(victim);
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(victim.0),
-                    );
-                    let _ = self.send_ctl(victim, &Wire::Die);
+                if sum >= threshold {
+                    self.fire_kill(victim, kills_fired);
                 }
             }
             for &(victim, after) in &time_kills {
-                if started.elapsed() >= after
-                    && !kills_fired.contains(&victim)
-                    && self.node.liveness().is_alive(victim)
-                {
-                    kills_fired.push(victim);
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(victim.0),
-                    );
-                    let _ = self.send_ctl(victim, &Wire::Die);
+                if started.elapsed() >= after {
+                    self.fire_kill(victim, kills_fired);
                 }
             }
 
@@ -1217,22 +1131,26 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             if someone_died || shared.fault.load(Ordering::Acquire) {
                 shared.fault.store(true, Ordering::Release);
                 self.recorder.instant_now(
-                    self.me.0,
+                    self.me().0,
                     RUNTIME_WORKER,
                     EventKind::Fault,
                     u64::from(epoch),
                 );
-                return Ok(Flow::Fault);
+                return Ok(Flow::Fault {
+                    reported: reported(&table),
+                });
             }
             if sum >= total {
                 shared.done.store(true, Ordering::Release);
                 self.recorder.instant_now(
-                    self.me.0,
+                    self.me().0,
                     RUNTIME_WORKER,
                     EventKind::CtlStop,
                     u64::from(epoch),
                 );
-                return Ok(Flow::Finished);
+                return Ok(Flow::Finished {
+                    reported: reported(&table),
+                });
             }
 
             if sum != last_sum {
@@ -1240,7 +1158,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 last_change = Instant::now();
             } else if last_change.elapsed() > shared.stall_limit {
                 self.recorder
-                    .instant_now(self.me.0, RUNTIME_WORKER, EventKind::Stalled, sum);
+                    .instant_now(self.me().0, RUNTIME_WORKER, EventKind::Stalled, sum);
                 shared.stalled.store(true, Ordering::Release);
                 shared.done.store(true, Ordering::Release);
                 return Ok(Flow::Stalled { finished: sum });
@@ -1274,6 +1192,16 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         let mut awaiting_release: Option<Instant> = None;
 
         loop {
+            if self.dying.load(Ordering::Acquire) {
+                self.recorder.instant_now(
+                    self.me().0,
+                    RUNTIME_WORKER,
+                    EventKind::CtlDie,
+                    u64::from(epoch),
+                );
+                shared.fault.store(true, Ordering::Release);
+                return Ok(Flow::Died);
+            }
             if !self.node.liveness().is_alive(PlaceId::ZERO) {
                 return Err(EngineError::Socket(
                     "place 0 was lost; a worker cannot continue without the coordinator".into(),
@@ -1309,7 +1237,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 Ok((_, Wire::Stop { epoch: e })) if e == epoch && !concluded => {
                     concluded = true;
                     self.recorder.instant_now(
-                        self.me.0,
+                        self.me().0,
                         RUNTIME_WORKER,
                         EventKind::CtlStop,
                         u64::from(epoch),
@@ -1321,7 +1249,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 Ok((_, Wire::Abort { epoch: e, dead })) if e == epoch && !concluded => {
                     concluded = true;
                     self.recorder.instant_now(
-                        self.me.0,
+                        self.me().0,
                         RUNTIME_WORKER,
                         EventKind::CtlAbort,
                         u64::from(epoch),
@@ -1343,7 +1271,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     },
                 )) if e == epoch + 1 => {
                     self.recorder.instant_now(
-                        self.me.0,
+                        self.me().0,
                         RUNTIME_WORKER,
                         EventKind::CtlResume,
                         u64::from(epoch + 1),
@@ -1356,7 +1284,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     // reaches get direct insurance re-sends from the
                     // coordinator.)
                     let new_places: Vec<PlaceId> = new_alive.iter().copied().map(PlaceId).collect();
-                    if let Some(r) = new_places.iter().position(|p| *p == self.me) {
+                    if let Some(r) = new_places.iter().position(|p| *p == self.me()) {
                         self.scatter_resume(&new_places, r, e, &new_alive, &meta, &cells);
                     }
                     return Ok(Flow::WorkerResume {
@@ -1369,27 +1297,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     // A child's subtree counts; folded into our next hop.
                     fold_counts(&mut child_counts, &counts);
                 }
-                Ok((_, Wire::Die)) => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(epoch),
-                    );
-                    // Planned fault: die the way a crashed process dies —
-                    // no goodbye frame, so the peers must *detect* it. In
-                    // soft-die mode only the sockets die (the place is a
-                    // thread of a test process that must survive).
-                    if self.engine.soft_die {
-                        self.node.crash();
-                        shared.fault.store(true, Ordering::Release);
-                        return Ok(Flow::Died);
-                    }
-                    std::process::abort();
-                }
                 Ok((_, Wire::Done)) => {
                     self.recorder.instant_now(
-                        self.me.0,
+                        self.me().0,
                         RUNTIME_WORKER,
                         EventKind::CtlDone,
                         u64::from(epoch),
@@ -1412,7 +1322,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 // updates that arrived while our own count sat still.
                 // Failure to report is not fatal by itself; the liveness
                 // check at the top of the loop is the judge of that.
-                let mut counts: Vec<(u16, u64)> = vec![(self.me.0, finished)];
+                let mut counts: Vec<(u16, u64)> = vec![(self.me().0, finished)];
                 counts.extend(child_counts.iter().map(|(&p, &n)| (p, n)));
                 let parent = sched
                     .live_parent(my_slot, |r| !self.node.liveness().is_alive(alive[r]))
@@ -1434,7 +1344,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         // coalescing layer goes to the wire (or dies with a dead lane)
         // before this epoch's counters and cells are reported, so the
         // snapshot never precedes traffic it already counted.
-        shared.transport.flush(self.me);
+        shared.transport.flush(self.me());
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
         let shard = &shared.shards[my_slot];
         let mut cells = Vec::new();
@@ -1444,7 +1354,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 cells.push((VertexId::new(i, j).pack(), v));
             }
         }
-        let mine = self.node.stats().place(self.me);
+        let mine = self.node.stats().place(self.me());
         let stats = vec![
             mine.tasks_run.load(Ordering::Relaxed),
             mine.messages_sent.load(Ordering::Relaxed),
@@ -1474,7 +1384,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             .map_err(|e| EngineError::Socket(format!("snapshot delivery failed: {e}")));
         if let Some(start) = rec_start {
             self.recorder.span(
-                self.me.0,
+                self.me().0,
                 RUNTIME_WORKER,
                 EventKind::Snapshot,
                 start,
@@ -1503,7 +1413,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         // kill landing right at the end of the epoch, before its
         // snapshot) must still be reported as lost so its values get
         // recovered rather than silently dropped.
-        let mut pending: Vec<PlaceId> = alive.iter().copied().filter(|p| *p != self.me).collect();
+        let mut pending: Vec<PlaceId> = alive.iter().copied().filter(|p| *p != self.me()).collect();
         let mut lost = Vec::new();
         let deadline = Instant::now() + SNAPSHOT_DEADLINE;
         let mut next_nudge = Instant::now() + CONCLUDE_RESEND;
@@ -1530,7 +1440,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 next_nudge = Instant::now() + CONCLUDE_RESEND;
                 // Broadcast insurance: a relay that died after taking
                 // its hop may have stranded its subtree; re-send the
-                // bare concluding frame (not a `Bcast`, so nobody
+                // concluding frame itself (not a `Bcast`, so nobody
                 // re-relays it) directly to the peers still owed a
                 // snapshot. Receivers that got the tree hop already
                 // ignore the duplicate.
@@ -1570,7 +1480,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         }
         if let Some(start) = rec_start {
             self.recorder.span(
-                self.me.0,
+                self.me().0,
                 RUNTIME_WORKER,
                 EventKind::Snapshot,
                 start,
@@ -1582,26 +1492,31 @@ impl<A: DpApp + 'static> Driver<'_, A> {
     }
 
     /// Place 0: runs the paper's recovery over the collected snapshot.
+    /// `unreported` counts the cells the dead places reported finishing
+    /// this epoch: they never reach the snapshot, so the recovery pass
+    /// cannot see them, but they are lost all the same.
     fn recover_from(
         &self,
         snapshot: &DistArray<A::Value>,
         dead: &[PlaceId],
+        unreported: u64,
         report: &mut RunReport,
     ) -> DistArray<A::Value> {
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let (restored, rec) = recover(
+        let (restored, mut rec) = recover(
             snapshot,
             dead,
-            self.engine.config.restore_manner,
-            &self.engine.config.topology,
-            &self.engine.config.network,
+            self.config.restore_manner,
+            &self.config.topology,
+            &self.config.network,
             &RecoveryCostModel::default(),
         );
+        rec.lost += unreported;
         report.recovery_time += rec.sim_time;
         report.recoveries.push(rec);
         if let Some(start) = rec_start {
             self.recorder.span(
-                self.me.0,
+                self.me().0,
                 RUNTIME_WORKER,
                 EventKind::Recovery,
                 start,
@@ -1623,10 +1538,10 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         epoch: u32,
         alive: &mut Vec<PlaceId>,
         restored: &DistArray<A::Value>,
-    ) -> Result<ResumeState<A::Value>, EngineError> {
+    ) -> ResumeState<A::Value> {
         alive.retain(|p| self.node.liveness().is_alive(*p));
         self.recorder.instant_now(
-            self.me.0,
+            self.me().0,
             RUNTIME_WORKER,
             EventKind::CtlResume,
             u64::from(epoch + 1),
@@ -1644,18 +1559,18 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         let alive_u16: Vec<u16> = alive.iter().map(|p| p.0).collect();
         let me_rank = alive
             .iter()
-            .position(|p| *p == self.me)
+            .position(|p| *p == self.me())
             .unwrap_or_else(|| self.schedule(alive).root());
         // A hop failure here means the peer died *after* recovery; the
         // adoption inside the scatter plus the next epoch's liveness
         // check and re-send insurance catch it.
         self.scatter_resume(alive, me_rank, epoch + 1, &alive_u16, &meta, &cells);
-        Ok(ResumeState {
+        ResumeState {
             epoch: epoch + 1,
             alive: alive_u16,
             meta,
             cells,
-        })
+        }
     }
 }
 
@@ -1673,10 +1588,6 @@ mod tests {
                     value: -7,
                 },
             ),
-            Wire::Progress {
-                epoch: 1,
-                finished: 42,
-            },
             Wire::Stop { epoch: 0 },
             Wire::Abort {
                 epoch: 2,
@@ -1729,6 +1640,37 @@ mod tests {
     #[test]
     fn wire_rejects_unknown_tag() {
         assert!(decode_exact::<Wire<i64>>(&[99]).is_none());
+        // Tag 1 (the retired direct progress report) stays unassigned.
+        let mut progress = vec![1u8];
+        1u32.encode(&mut progress);
+        42u64.encode(&mut progress);
+        assert!(decode_exact::<Wire<i64>>(&progress).is_none());
+    }
+
+    #[test]
+    fn job_frames_decode_unboxed_and_bare_frames_stay_bare() {
+        let app: Wire<i64> = Wire::App(
+            2,
+            Msg::Pull {
+                id: VertexId::new(4, 4),
+            },
+        );
+        let framed = encode_job(7, &app);
+        // Byte-identical to the boxed codec form.
+        assert_eq!(framed, encode_to_vec(&Wire::Job(7, Box::new(app))));
+        let Some((Some(7), Wire::App(2, Msg::Pull { id }))) = decode_frame::<i64>(&framed) else {
+            panic!("job frame did not decode");
+        };
+        assert_eq!(id, VertexId::new(4, 4));
+        let bare = encode_to_vec(&Wire::<i64>::Die);
+        assert!(matches!(
+            decode_frame::<i64>(&bare),
+            Some((None, Wire::Die))
+        ));
+        // Trailing garbage after a job's inner frame is rejected.
+        let mut long = framed.clone();
+        long.push(0);
+        assert!(decode_frame::<i64>(&long).is_none());
     }
 
     #[test]

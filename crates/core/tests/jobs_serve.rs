@@ -226,3 +226,24 @@ fn served_jobs_record_the_work_stealing_downgrade() {
     assert_eq!(downgrade.requested, ScheduleStrategy::WorkStealing);
     assert_eq!(downgrade.effective, ScheduleStrategy::Local);
 }
+
+#[test]
+fn served_reports_carry_the_mesh_counters() {
+    let report = serve_mesh(3, || {
+        let mut server = JobServer::new();
+        server
+            .submit(JobSpec::new(
+                "grid3",
+                MixApp,
+                builtin::Grid3::new(10, 10),
+                EngineConfig::flat(3),
+            ))
+            .unwrap();
+        server
+    });
+    let result = report.jobs[0].result.as_ref().expect("job succeeded");
+    let comm = result.report().comm;
+    assert!(comm.messages_sent > 0, "a 3-place job must have talked");
+    assert!(comm.bytes_sent > comm.messages_sent);
+    assert_eq!(result.report().place_busy.len(), 3);
+}

@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use dpx10_apgas::SocketConfig;
 use dpx10_core::{
-    DepView, DistKind, DpApp, EngineConfig, PlaceId, ScheduleStrategy, SocketEngine, ThreadedEngine,
+    DepView, DistKind, DpApp, EngineConfig, FaultPlan, PlaceId, ScheduleStrategy, SocketEngine,
+    ThreadedEngine,
 };
 use dpx10_dag::{builtin::Grid3, topological_order, DagPattern, VertexId};
 
@@ -44,7 +45,8 @@ fn oracle<P: DagPattern>(pattern: &P) -> std::collections::HashMap<VertexId, u64
 }
 
 /// Runs `places` socket places as threads in this process and returns
-/// the coordinator's result.
+/// the coordinator's result. A planned kill crashes only the victim's
+/// sockets (soft die), so the victim thread exits like the others.
 fn run_mesh<P: DagPattern + Clone + 'static>(
     places: u16,
     pattern: P,
@@ -60,14 +62,14 @@ fn run_mesh<P: DagPattern + Clone + 'static>(
         let config = config.clone();
         let init = init.clone();
         workers.push(std::thread::spawn(move || {
-            let mut engine = SocketEngine::new(MixApp, pattern, config);
+            let mut engine = SocketEngine::new(MixApp, pattern, config).with_soft_die();
             if let Some(init) = init {
                 engine = engine.with_init(init);
             }
             engine.run(SocketConfig::worker(PlaceId(p), places, addr))
         }));
     }
-    let mut engine = SocketEngine::new(MixApp, pattern, config);
+    let mut engine = SocketEngine::new(MixApp, pattern, config).with_soft_die();
     if let Some(init) = init {
         engine = engine.with_init(init);
     }
@@ -171,4 +173,32 @@ fn fully_prefinished_dag_short_circuits_on_every_place() {
     let result = run_mesh(3, Grid3::new(8, 8), EngineConfig::flat(3), Some(init));
     assert_eq!(result.report().vertices_computed, 0);
     assert_eq!(result.get(7, 7), 707);
+}
+
+#[test]
+fn killed_place_reports_its_finished_cells_as_lost() {
+    // Block-row over 2 places: place 0 owns exactly the top half. The
+    // kill fires once 75 % of the cells are reported finished, so the
+    // victim had reported at least a quarter of the DAG — all of it
+    // gone with its memory, since a dead place never snapshots.
+    let pattern = Grid3::new(40, 40);
+    let total = pattern.vertex_count();
+    let expect = oracle(&pattern);
+    let config = EngineConfig::flat(2)
+        .with_dist(DistKind::BlockRow)
+        .with_fault(FaultPlan {
+            place: PlaceId(1),
+            after_fraction: 0.75,
+        });
+    let result = run_mesh(2, pattern, config, None);
+    for (id, v) in &expect {
+        assert_eq!(result.try_get(id.i, id.j).as_ref(), Some(v), "{id}");
+    }
+    let report = result.report();
+    assert!(report.epochs >= 2, "the kill must have fired");
+    let lost: u64 = report.recoveries.iter().map(|r| r.lost).sum();
+    assert!(
+        lost >= total / 4,
+        "lost {lost} of {total} cells, expected at least a quarter"
+    );
 }

@@ -1,6 +1,6 @@
 //! Chaos differential oracle for the multi-job scheduler: several
-//! concurrent jobs share one 3-place socket mesh while a pinned,
-//! deterministic kill takes a place down mid-serve. The oracle for
+//! concurrent jobs share one 3-place socket mesh while one job's
+//! planned fault takes a place down mid-serve. The oracle for
 //! every job — faulted or not — is its solo single-place threaded run;
 //! fault isolation is asserted structurally: only jobs with vertices on
 //! the dead place recover (epochs ≥ 2), jobs pinned away from it never
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use dpx10_apgas::SocketConfig;
 use dpx10_core::{
-    EngineConfig, JobServer, JobSpec, PlaceId, ServeKill, ServeReport, ThreadedEngine,
+    EngineConfig, FaultPlan, JobServer, JobSpec, PlaceId, ServeReport, ThreadedEngine,
 };
 use dpx10_dag::{builtin, DagPattern};
 use dpx10_harness::MixApp;
@@ -63,23 +63,22 @@ fn serve_mesh(
 fn place_death_mid_serve_recovers_only_the_affected_jobs() {
     // Four jobs: two big full-mesh jobs that are certain to have
     // unfinished vertices on place 2 when it dies, two pinned to
-    // {0, 1} and therefore out of the blast radius. Place 2 kills
-    // itself after publishing 30 vertices — far before any full-mesh
-    // job (≥ 360 vertices, ~a third of them on place 2) can finish.
+    // {0, 1} and therefore out of the blast radius. The first wide
+    // job's fault plan kills place 2 once 5 % of its 400 vertices are
+    // done — far before any full-mesh job (≥ 360 vertices, ~a third of
+    // them on place 2) can finish. The kill takes the whole place down,
+    // so the second wide job recovers too.
     let report = serve_mesh(3, || {
-        let mut server = JobServer::new()
-            .with_max_in_flight(4)
-            .with_soft_die()
-            .with_kill(ServeKill {
-                place: PlaceId(2),
-                after_vertices: 30,
-            });
+        let mut server = JobServer::new().with_max_in_flight(4).with_soft_die();
         server
             .submit(JobSpec::new(
                 "wide-grid3",
                 MixApp,
                 builtin::Grid3::new(20, 20),
-                EngineConfig::flat(3),
+                EngineConfig::flat(3).with_fault(FaultPlan {
+                    place: PlaceId(2),
+                    after_fraction: 0.05,
+                }),
             ))
             .unwrap();
         server
